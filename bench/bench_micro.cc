@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the building blocks: simulator
 // rasterization throughput, half conversion, histogram construction, summary
-// merges, and the CPU sorts. These measure the *simulator's host
-// performance* (useful when tuning the simulator itself), not simulated
-// 2005-hardware time.
+// merges and prunes, the GK+EH cascade, and the CPU sorts. These measure the
+// *simulator's host performance* (useful when tuning the simulator itself),
+// not simulated 2005-hardware time.
 
 #include <algorithm>
 #include <random>
@@ -13,6 +13,7 @@
 #include "gpu/device.h"
 #include "gpu/half.h"
 #include "hwmodel/hardware_profiles.h"
+#include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
 #include "sketch/histogram.h"
 #include "sketch/lossy_counting.h"
@@ -155,6 +156,47 @@ void BM_GkMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (sa.size() + sb.size()));
 }
 BENCHMARK(BM_GkMerge)->Arg(16384)->Arg(262144);
+
+// One combine's compress at the production GK+EH shape: two merged
+// 35000-tuple buckets pruned back to ceil(35/epsilon) = 35000 tuples.
+void BM_GkPrune(benchmark::State& state) {
+  constexpr std::size_t kBucket = 35000;
+  auto a = RandomData(kBucket);
+  auto b = RandomData(kBucket, 20000);
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const auto merged = sketch::GkSummary::Merge(sketch::GkSummary::FromSorted(a, 1e-6),
+                                               sketch::GkSummary::FromSorted(b, 1e-6));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(merged.Prune(kBucket).size());
+  }
+  state.SetItemsProcessed(state.iterations() * merged.size());
+}
+BENCHMARK(BM_GkPrune);
+
+// The whole-history cascade at the production shape (epsilon 1e-3,
+// 1000-element windows, default expected length of 2^32 windows): the
+// ordered drain's merge + compress work for range(0) windows.
+void BM_EhCascade(benchmark::State& state) {
+  constexpr std::uint64_t kWindow = 1000;
+  constexpr double kEpsilon = 1e-3;
+  const auto windows = static_cast<std::size_t>(state.range(0));
+  const auto data = RandomData(windows * kWindow);
+  std::vector<sketch::GkSummary> summaries;
+  for (std::size_t w = 0; w < windows; ++w) {
+    std::vector<float> window(data.begin() + w * kWindow,
+                              data.begin() + (w + 1) * kWindow);
+    std::sort(window.begin(), window.end());
+    summaries.push_back(sketch::GkSummary::FromSorted(window, kEpsilon / 2.0));
+  }
+  for (auto _ : state) {
+    sketch::EhQuantileSummary eh(kEpsilon, kWindow, kWindow << 32);
+    for (const auto& summary : summaries) eh.AddWindowSummary(summary);
+    benchmark::DoNotOptimize(eh.TotalTuples());
+  }
+  state.SetItemsProcessed(state.iterations() * windows * kWindow);
+}
+BENCHMARK(BM_EhCascade)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -39,7 +40,14 @@ bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
   EhQuantileSummary fresh(epsilon, window_size, expected_length);
   if (buckets.size() > fresh.buckets_.size() + 64) return false;
   std::uint64_t total = 0;
-  for (const GkSummary& bucket : buckets) total += bucket.count();
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    // A bucket looser than its level's budget would make the stated
+    // whole-history bound false.
+    if (buckets[i].epsilon() > fresh.LevelBudget(static_cast<int>(i) + 1) + 1e-12) {
+      return false;
+    }
+    total += buckets[i].count();
+  }
   if (total != count) return false;
   if (buckets.size() > fresh.buckets_.size()) fresh.buckets_.resize(buckets.size());
   for (std::size_t i = 0; i < buckets.size(); ++i) {
@@ -60,6 +68,7 @@ void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
   STREAMGPU_CHECK_MSG(window_summary.epsilon() <= LevelBudget(1) + 1e-12,
                       "window summary must be (epsilon/2)-approximate");
   count_ += window_summary.count();
+  flattened_.reset();
 
   GkSummary carry = std::move(window_summary);
   std::size_t id = 1;
@@ -73,7 +82,11 @@ void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
 
     Timer compress_timer;
     pruned_tuples_ += merged.size();
-    carry = merged.Prune(prune_tuples_);
+    if (merged.size() > prune_tuples_ + 1) {
+      carry = merged.Prune(prune_tuples_);
+    } else {
+      carry = std::move(merged);  // within budget: Prune would return a copy
+    }
     compress_seconds_ += compress_timer.ElapsedSeconds();
 
     buckets_[id - 1] = GkSummary();
@@ -85,11 +98,18 @@ void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
 
 float EhQuantileSummary::Query(double phi) const {
   STREAMGPU_CHECK_MSG(count_ > 0, "query on empty summary");
-  GkSummary all;
-  for (const GkSummary& bucket : buckets_) {
-    if (!bucket.empty()) all = GkSummary::Merge(all, bucket);
+  return Flattened().Query(phi);
+}
+
+const GkSummary& EhQuantileSummary::Flattened() const {
+  if (!flattened_) {
+    GkSummary all;
+    for (const GkSummary& bucket : buckets_) {
+      if (!bucket.empty()) all = GkSummary::Merge(all, bucket);
+    }
+    flattened_ = std::move(all);
   }
-  return all.Query(phi);
+  return *flattened_;
 }
 
 std::size_t EhQuantileSummary::TotalTuples() const {

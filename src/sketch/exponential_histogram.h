@@ -14,6 +14,7 @@
 #define STREAMGPU_SKETCH_EXPONENTIAL_HISTOGRAM_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sketch/gk_summary.h"
@@ -40,14 +41,23 @@ class EhQuantileSummary {
   /// path, docs/DURABILITY.md). `buckets` uses the buckets() layout: index i
   /// holds bucket id i+1, empty() = vacant. The configuration arguments must
   /// match the original constructor call. Validates that the bucket counts
-  /// sum to `count` and the bucket list stays within a sane cascade depth;
-  /// returns false on violation, leaving `out` untouched.
+  /// sum to `count`, that every bucket's epsilon stays within its
+  /// LevelBudget, and that the bucket list stays within a sane cascade
+  /// depth; returns false on violation, leaving `out` untouched.
   static bool FromParts(double epsilon, std::uint64_t window_size,
                         std::uint64_t expected_length, std::uint64_t count,
                         std::vector<GkSummary> buckets, EhQuantileSummary* out);
 
   /// Epsilon-approximate phi-quantile over everything inserted so far.
   float Query(double phi) const;
+
+  /// Every bucket merged, in bucket order, into one GkSummary — what Query
+  /// answers from and what the mergeable export serializes
+  /// (sketch/quantile_sketch.cc). Each bucket is at most epsilon-approximate
+  /// and GK MERGE keeps max(epsilon), so the result is epsilon-approximate.
+  /// Built lazily and cached until the next AddWindowSummary; like every
+  /// other call, it must be serialized against AddWindowSummary.
+  const GkSummary& Flattened() const;
 
   /// Elements covered so far.
   std::uint64_t count() const { return count_; }
@@ -67,9 +77,8 @@ class EhQuantileSummary {
   /// Tuple budget used by each combine's prune step.
   std::size_t prune_tuples() const { return prune_tuples_; }
 
-  /// The bucket summaries (index i holds bucket id i+1; empty() = vacant).
-  /// Exposed so the mergeable-summary export can flatten the histogram into
-  /// one GkSummary via repeated GkSummary::Merge (sketch/quantile_sketch.cc).
+  /// The bucket summaries (index i holds bucket id i+1; empty() = vacant),
+  /// the full state the checkpoint serializes.
   const std::vector<GkSummary>& buckets() const { return buckets_; }
 
   /// Merge/compress wall costs, for Fig. 6-style breakdowns.
@@ -91,6 +100,7 @@ class EhQuantileSummary {
   double compress_seconds_ = 0;
   std::uint64_t merged_tuples_ = 0;
   std::uint64_t pruned_tuples_ = 0;
+  mutable std::optional<GkSummary> flattened_;  ///< Flattened() cache; reset per mutation
 };
 
 }  // namespace streamgpu::sketch

@@ -7,6 +7,32 @@
 
 namespace streamgpu::sketch {
 
+namespace {
+
+/// True while tuple t lies before the answer to a rank-`rank` query.
+bool BeforeRank(const GkTuple& t, std::uint64_t rank) {
+  return t.rmin + t.rmax < 2 * rank;
+}
+
+/// Index of the tuple closest to `rank`, given `boundary`, the first tuple
+/// not BeforeRank (tuples.size() if none). The worst-case rank deviation of
+/// tuple t, cost(t) = max(r - rmin, rmax - r), is nonincreasing then
+/// nondecreasing over the value-sorted tuples and bottoms out at the
+/// boundary, so the answer is the boundary or its predecessor.
+std::size_t BestAtBoundary(const std::vector<GkTuple>& tuples, std::size_t boundary,
+                           std::uint64_t rank) {
+  const auto cost = [rank](const GkTuple& t) {
+    const std::uint64_t lo = t.rmin > rank ? t.rmin - rank : rank - t.rmin;
+    const std::uint64_t hi = t.rmax > rank ? t.rmax - rank : rank - t.rmax;
+    return std::max(lo, hi);
+  };
+  std::size_t best = std::min(boundary, tuples.size() - 1);
+  if (best > 0 && cost(tuples[best - 1]) < cost(tuples[best])) --best;
+  return best;
+}
+
+}  // namespace
+
 GkSummary GkSummary::FromSorted(std::span<const float> sorted_window,
                                 double target_epsilon) {
   STREAMGPU_CHECK(target_epsilon > 0.0);
@@ -66,7 +92,10 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
   // For a tuple x from `a`: the b-elements certainly before x are those
   // covered by the largest b-tuple with value < x, and at most
   // rmax(first b-tuple with value >= x) - 1 of b's elements can precede x.
-  // For a tuple y from `b` the comparisons flip to <= and >.
+  // For a tuple y from `b` the comparisons flip to <= and >. The merge order
+  // itself supplies both boundaries: taking a[i] means b[j-1] < a[i] <= b[j],
+  // and taking b[j] means a[i-1] <= b[j] < a[i], so the other summary's
+  // cursor is already the first tuple past the boundary.
   std::size_t i = 0;  // next a-tuple
   std::size_t j = 0;  // next b-tuple
 
@@ -75,26 +104,18 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
         j >= b.size() || (i < a.size() && a.tuples_[i].value <= b.tuples_[j].value);
     if (take_a) {
       const GkTuple& t = a.tuples_[i];
-      // First b-tuple with value >= t.value. b.tuples_[j-1].value < t.value
-      // is guaranteed by the merge order, so j itself is the boundary after
-      // advancing over smaller values.
-      std::size_t ge = j;
-      while (ge < b.size() && b.tuples_[ge].value < t.value) ++ge;
       std::uint64_t rmin = t.rmin;
       std::uint64_t rmax = t.rmax;
-      if (ge > 0) rmin += b.tuples_[ge - 1].rmin;
-      rmax += ge < b.size() ? b.tuples_[ge].rmax - 1 : b.count_;
+      if (j > 0) rmin += b.tuples_[j - 1].rmin;
+      rmax += j < b.size() ? b.tuples_[j].rmax - 1 : b.count_;
       out.tuples_.push_back({t.value, rmin, rmax});
       ++i;
     } else {
       const GkTuple& t = b.tuples_[j];
-      // First a-tuple with value > t.value (a precedes b on ties).
-      std::size_t gt = i;
-      while (gt < a.size() && a.tuples_[gt].value <= t.value) ++gt;
       std::uint64_t rmin = t.rmin;
       std::uint64_t rmax = t.rmax;
-      if (gt > 0) rmin += a.tuples_[gt - 1].rmin;
-      rmax += gt < a.size() ? a.tuples_[gt].rmax - 1 : a.count_;
+      if (i > 0) rmin += a.tuples_[i - 1].rmin;
+      rmax += i < a.size() ? a.tuples_[i].rmax - 1 : a.count_;
       out.tuples_.push_back({t.value, rmin, rmax});
       ++j;
     }
@@ -110,12 +131,19 @@ GkSummary GkSummary::Prune(std::size_t max_tuples) const {
   out.count_ = count_;
   out.epsilon_ = epsilon_ + 1.0 / (2.0 * static_cast<double>(max_tuples));
   out.tuples_.reserve(max_tuples + 1);
+  // The target ranks are nondecreasing in i, so the boundary only moves
+  // forward: one cursor sweep answers every rank in O(size() + max_tuples)
+  // instead of a binary search per rank.
+  std::size_t boundary = 0;
   for (std::size_t i = 0; i <= max_tuples; ++i) {
     const auto rank = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(
                std::llround(static_cast<double>(i) * static_cast<double>(count_) /
                             static_cast<double>(max_tuples))));
-    const GkTuple& t = tuples_[BestTupleForRank(rank)];
+    while (boundary < tuples_.size() && BeforeRank(tuples_[boundary], rank)) ++boundary;
+    const std::size_t best = BestAtBoundary(tuples_, boundary, rank);
+    STREAMGPU_DCHECK(best == BestTupleForRank(rank));
+    const GkTuple& t = tuples_[best];
     if (out.tuples_.empty() || !(out.tuples_.back() == t)) out.tuples_.push_back(t);
   }
   return out;
@@ -123,24 +151,12 @@ GkSummary GkSummary::Prune(std::size_t max_tuples) const {
 
 std::size_t GkSummary::BestTupleForRank(std::uint64_t rank) const {
   STREAMGPU_CHECK(!tuples_.empty());
-  // Worst-case rank deviation of tuple t from target r is
-  // cost(t) = max(r - rmin, rmax - r). Over the value-sorted tuples the
-  // first term is nonincreasing and the second nondecreasing, so cost is
-  // unimodal and its minimum sits at the first tuple with
-  // rmin + rmax >= 2r — a binary-searchable monotone predicate (rmin and
-  // rmax are both nondecreasing). Compare that tuple with its predecessor.
-  const auto cost = [rank](const GkTuple& t) {
-    const std::uint64_t lo = t.rmin > rank ? t.rmin - rank : rank - t.rmin;
-    const std::uint64_t hi = t.rmax > rank ? t.rmax - rank : rank - t.rmax;
-    return std::max(lo, hi);
-  };
+  // rmin and rmax are both nondecreasing, so BeforeRank is a monotone
+  // predicate and the boundary is binary-searchable.
   const auto it = std::partition_point(
       tuples_.begin(), tuples_.end(),
-      [rank](const GkTuple& t) { return t.rmin + t.rmax < 2 * rank; });
-  std::size_t best = it == tuples_.end() ? tuples_.size() - 1
-                                         : static_cast<std::size_t>(it - tuples_.begin());
-  if (best > 0 && cost(tuples_[best - 1]) < cost(tuples_[best])) --best;
-  return best;
+      [rank](const GkTuple& t) { return BeforeRank(t, rank); });
+  return BestAtBoundary(tuples_, static_cast<std::size_t>(it - tuples_.begin()), rank);
 }
 
 float GkSummary::Query(double phi) const {

@@ -53,6 +53,7 @@ class GkSummary {
   /// Reduces the summary to at most max_tuples + 1 tuples by querying it at
   /// ranks i*count()/max_tuples, i = 0..max_tuples, at the price of
   /// 1/(2*max_tuples) additional error ([21]'s prune; §5.2's compress).
+  /// One forward sweep: O(size() + max_tuples).
   GkSummary Prune(std::size_t max_tuples) const;
 
   /// Value whose rank is within epsilon()*count() of ceil(phi * count()),

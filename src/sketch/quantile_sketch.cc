@@ -56,11 +56,7 @@ class GkEhSketch final : public QuantileSketch {
   }
 
   core::Status AppendWireSummary(std::vector<std::uint8_t>* out) const override {
-    GkSummary flat;
-    for (const GkSummary& bucket : eh_.buckets()) {
-      if (!bucket.empty()) flat = GkSummary::Merge(flat, bucket);
-    }
-    return SerializeSummary(flat, out);
+    return SerializeSummary(eh_.Flattened(), out);
   }
 
   // Full state: the bucket cascade itself. Layout: count u64, slot count

@@ -3,8 +3,13 @@
 // (sketch/exponential_histogram.h, §5.2).
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <random>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +18,9 @@
 #include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
 #include "sketch/kll.h"
+#include "sketch/quantile_sketch.h"
+#include "sketch/serialize.h"
+#include "sketch/wire.h"
 
 namespace streamgpu::sketch {
 namespace {
@@ -249,6 +257,101 @@ TEST(GkPruneTest, SmallSummaryIsUntouched) {
   EXPECT_EQ(pruned.epsilon(), s.epsilon());
 }
 
+// --- Prune against the per-rank reference rule. ---
+
+// The pre-sweep prune, kept as the reference: per target rank, binary-search
+// the first tuple with rmin + rmax >= 2*rank, then prefer its predecessor on
+// a strictly smaller worst-case deviation.
+std::vector<GkTuple> ReferencePrune(const GkSummary& s, std::size_t max_tuples) {
+  const std::vector<GkTuple>& t = s.tuples();
+  if (t.size() <= max_tuples + 1) return t;
+  std::vector<GkTuple> out;
+  for (std::size_t i = 0; i <= max_tuples; ++i) {
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::llround(static_cast<double>(i) * static_cast<double>(s.count()) /
+                            static_cast<double>(max_tuples))));
+    const auto cost = [rank](const GkTuple& x) {
+      const std::uint64_t lo = x.rmin > rank ? x.rmin - rank : rank - x.rmin;
+      const std::uint64_t hi = x.rmax > rank ? x.rmax - rank : rank - x.rmax;
+      return std::max(lo, hi);
+    };
+    const auto it = std::partition_point(t.begin(), t.end(), [rank](const GkTuple& x) {
+      return x.rmin + x.rmax < 2 * rank;
+    });
+    std::size_t best =
+        it == t.end() ? t.size() - 1 : static_cast<std::size_t>(it - t.begin());
+    if (best > 0 && cost(t[best - 1]) < cost(t[best])) --best;
+    if (out.empty() || !(out.back() == t[best])) out.push_back(t[best]);
+  }
+  return out;
+}
+
+// Tuple lists equal bit for bit (so -0 and +0 are told apart).
+::testing::AssertionResult SameTuples(const std::vector<GkTuple>& got,
+                                      const std::vector<GkTuple>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " != reference " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i].value) !=
+            std::bit_cast<std::uint32_t>(want[i].value) ||
+        got[i].rmin != want[i].rmin || got[i].rmax != want[i].rmax) {
+      return ::testing::AssertionFailure()
+             << "tuple " << i << ": (" << got[i].value << "," << got[i].rmin << ","
+             << got[i].rmax << ") != reference (" << want[i].value << ","
+             << want[i].rmin << "," << want[i].rmax << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// A summary with wide rank intervals: a chain of merges over sorted windows
+// drawn by `draw`, pruned once midway so both merge and prune shapes occur.
+template <typename Draw>
+GkSummary ChainedSummary(unsigned seed, Draw draw) {
+  std::mt19937 rng(seed);
+  GkSummary acc;
+  for (int block = 0; block < 8; ++block) {
+    std::vector<float> w(300 + 37 * block);
+    for (float& v : w) v = draw(rng);
+    std::sort(w.begin(), w.end());
+    acc = GkSummary::Merge(acc, GkSummary::FromSorted(w, 0.02));
+    if (block == 3) acc = acc.Prune(40);
+  }
+  return acc;
+}
+
+TEST(GkPruneTest, SweepMatchesPerRankReferenceAtEveryBudget) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<std::pair<const char*, GkSummary>> inputs = {
+      {"random", ChainedSummary(91, [](std::mt19937& rng) {
+         return std::uniform_real_distribution<float>(0.0f, 1e6f)(rng);
+       })},
+      {"duplicates", ChainedSummary(92, [](std::mt19937& rng) {
+         return static_cast<float>(rng() % 5u);
+       })},
+      {"all_equal", ChainedSummary(93, [](std::mt19937&) { return 7.0f; })},
+      {"signed_zero_inf", ChainedSummary(94, [inf](std::mt19937& rng) {
+         const float pool[] = {-inf, -0.0f, 0.0f, inf, -1.5f, 2.5f};
+         return pool[rng() % 6u];
+       })},
+  };
+  for (const auto& [name, s] : inputs) {
+    ASSERT_GT(s.size(), 20u) << name;
+    for (std::size_t budget = 1; budget <= s.size(); ++budget) {
+      const GkSummary pruned = s.Prune(budget);
+      ASSERT_TRUE(SameTuples(pruned.tuples(), ReferencePrune(s, budget)))
+          << name << " budget " << budget;
+      EXPECT_EQ(pruned.count(), s.count());
+      EXPECT_EQ(pruned.epsilon(), s.size() <= budget + 1
+                                      ? s.epsilon()
+                                      : s.epsilon() + 1.0 / (2.0 * budget));
+    }
+  }
+}
+
 // --- Exponential histogram (§5.2). ---
 
 struct EhCase {
@@ -343,6 +446,140 @@ TEST(EhTest, RejectsTooCoarseWindowSummary) {
   for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<float>(i);
   // A 0.5-approximate summary violates the epsilon/2 requirement.
   EXPECT_DEATH(eh.AddWindowSummary(GkSummary::FromSorted(w, 0.5)), "epsilon/2");
+}
+
+// --- GK+EH state pins and the flattened-view cache. ---
+
+std::uint64_t Fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The production GK+EH shape: epsilon 1e-3, 1000-element windows, and the
+// default expected length (2^32 windows), so every combine past 35 windows
+// prunes to ceil(35/epsilon) = 35000 tuples.
+constexpr double kProdEpsilon = 1e-3;
+constexpr std::uint64_t kProdWindow = 1000;
+constexpr std::uint64_t kProdExpected = kProdWindow << 32;
+
+std::unique_ptr<QuantileSketch> ProductionGkSketch() {
+  auto sketch = QuantileSketch::Create(QuantileSketchKind::kGk, kProdEpsilon,
+                                       kProdWindow, kProdExpected);
+  EXPECT_TRUE(sketch.ok());
+  return std::move(sketch).value();
+}
+
+// Feeds `windows` sorted windows of duplicate-heavy integers (mt19937 output
+// is fully specified, so the data is the same on every platform).
+void FeedProductionWindows(QuantileSketch* sketch, int windows, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::vector<float> w(kProdWindow);
+  for (int i = 0; i < windows; ++i) {
+    for (float& v : w) v = static_cast<float>(rng() % 100000u);
+    std::sort(w.begin(), w.end());
+    sketch->AddSortedWindow(w);
+  }
+}
+
+TEST(EhTest, CheckpointAndExportBytesArePinnedAtProductionShape) {
+  auto sketch = ProductionGkSketch();
+  FeedProductionWindows(sketch.get(), 512, 2005);
+  // 512 windows collapse into one pruned bucket.
+  ASSERT_EQ(sketch->summary_size(), 35001u);
+
+  std::vector<std::uint8_t> state;
+  ASSERT_TRUE(sketch->AppendCheckpointState(&state).ok());
+  std::vector<std::uint8_t> wire;
+  ASSERT_TRUE(sketch->AppendWireSummary(&wire).ok());
+  // Pinned before the one-sweep prune replaced the per-rank binary search:
+  // maintenance speedups must not move a single byte.
+  EXPECT_EQ(state.size(), 700118u);
+  EXPECT_EQ(Fnv1a(state), 0x9805bbddbdeb3cbfull);
+  EXPECT_EQ(wire.size(), 700064u);
+  EXPECT_EQ(Fnv1a(wire), 0x00e5a71ef78b1841ull);
+}
+
+TEST(EhTest, FlattenedViewIsRebuiltAfterEveryWindow) {
+  auto sketch = ProductionGkSketch();
+  FeedProductionWindows(sketch.get(), 37, 7);
+  const float max_before = sketch->Query(1.0);
+  std::vector<std::uint8_t> export_before;
+  ASSERT_TRUE(sketch->AppendWireSummary(&export_before).ok());
+
+  // A window above everything so far: a stale view would miss it.
+  const std::vector<float> high(kProdWindow, 5e6f);
+  sketch->AddSortedWindow(high);
+  EXPECT_EQ(sketch->Query(1.0), 5e6f);
+  EXPECT_NE(sketch->Query(1.0), max_before);
+
+  std::vector<std::uint8_t> state;
+  ASSERT_TRUE(sketch->AppendCheckpointState(&state).ok());
+  auto rebuilt = QuantileSketch::RestoreCheckpointState(
+      QuantileSketchKind::kGk, kProdEpsilon, kProdWindow, kProdExpected, state);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+  for (double phi : {0.001, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(sketch->Query(phi)),
+              std::bit_cast<std::uint32_t>(rebuilt.value()->Query(phi)))
+        << phi;
+  }
+  std::vector<std::uint8_t> export_after;
+  ASSERT_TRUE(sketch->AppendWireSummary(&export_after).ok());
+  std::vector<std::uint8_t> export_rebuilt;
+  ASSERT_TRUE(rebuilt.value()->AppendWireSummary(&export_rebuilt).ok());
+  EXPECT_EQ(export_after, export_rebuilt);
+  EXPECT_NE(export_after, export_before);
+}
+
+TEST(EhTest, FlattenedViewMatchesMergeOfBuckets) {
+  EhQuantileSummary eh(0.01, 500, 100000);
+  auto stream = RandomValues(40 * 500, 95, 50);
+  GkSummary last_flat;
+  for (std::size_t off = 0; off < stream.size(); off += 500) {
+    std::vector<float> w(stream.begin() + off, stream.begin() + off + 500);
+    std::sort(w.begin(), w.end());
+    eh.AddWindowSummary(GkSummary::FromSorted(w, 0.005));
+    GkSummary merged;
+    for (const GkSummary& bucket : eh.buckets()) {
+      if (!bucket.empty()) merged = GkSummary::Merge(merged, bucket);
+    }
+    ASSERT_EQ(eh.Flattened().count(), eh.count());
+    ASSERT_TRUE(SameTuples(eh.Flattened().tuples(), merged.tuples())) << off;
+    EXPECT_EQ(eh.Flattened().epsilon(), merged.epsilon());
+    EXPECT_EQ(eh.Query(0.5), merged.Query(0.5));
+  }
+}
+
+TEST(EhTest, FromPartsRejectsBucketLooserThanItsLevelBudget) {
+  const double eps = 0.01;
+  EhQuantileSummary shape(eps, 1000, 100000);
+  std::vector<float> w(1000);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = static_cast<float>(i);
+  const GkSummary window = GkSummary::FromSorted(w, eps / 2.0);
+
+  // The same tuples claiming epsilon LevelBudget(2): legal at id 2, not id 1.
+  GkSummary loose;
+  ASSERT_TRUE(GkSummary::FromParts(window.tuples(), window.count(),
+                                   shape.LevelBudget(2), &loose));
+  EhQuantileSummary out(eps, 1000, 100000);
+  EXPECT_FALSE(EhQuantileSummary::FromParts(eps, 1000, 100000, loose.count(),
+                                            {loose}, &out));
+  EXPECT_TRUE(EhQuantileSummary::FromParts(eps, 1000, 100000, loose.count(),
+                                           {GkSummary(), loose}, &out));
+
+  // A corrupt checkpoint carrying that bucket at id 1 restores as an error.
+  std::vector<std::uint8_t> payload;
+  wire::Append<std::uint64_t>(&payload, loose.count());
+  wire::Append<std::uint32_t>(&payload, 1);
+  wire::Append<std::uint8_t>(&payload, 1);
+  ASSERT_TRUE(SerializeSummary(loose, &payload).ok());
+  auto restored = QuantileSketch::RestoreCheckpointState(QuantileSketchKind::kGk, eps,
+                                                         1000, 100000, payload);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), core::Status::Code::kInvalidArgument);
 }
 
 // --- KllSketch ---
