@@ -198,6 +198,27 @@ void BM_EhCascade(benchmark::State& state) {
 }
 BENCHMARK(BM_EhCascade)->Arg(1024)->Unit(benchmark::kMillisecond);
 
+// The worker stage of the exact-run path: range(0) sorted 1000-element
+// windows of uniform floats merged in cascade order into one float run, the
+// work it takes off the drain (the cascade's unpruned levels 2..6 at the
+// production shape).
+void BM_ExactRunMerge(benchmark::State& state) {
+  constexpr std::size_t kWindow = 1000;
+  const auto windows = static_cast<std::size_t>(state.range(0));
+  auto data = RandomData(windows * kWindow);
+  for (std::size_t off = 0; off < data.size(); off += kWindow) {
+    std::sort(data.begin() + off, data.begin() + off + kWindow);
+  }
+  std::vector<float> run;
+  for (auto _ : state) {
+    sketch::GkSummary::MergeWindowsInCascadeOrder(data, kWindow, &run);
+    benchmark::DoNotOptimize(run.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * data.size());
+}
+BENCHMARK(BM_ExactRunMerge)->Arg(32)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -45,6 +45,7 @@ struct PipelineCosts {
   double sort_queue_wait_seconds = 0;    ///< batches waited for a free worker
   double drain_queue_wait_seconds = 0;   ///< sorted batches waited for in-order drain
   double sort_wall_seconds = 0;          ///< summed worker time inside SortRuns
+  double stage_wall_seconds = 0;         ///< summed worker time inside the worker stage
   double drain_wall_seconds = 0;         ///< summary-thread time merging windows
   std::uint64_t pipelined_batches = 0;   ///< batches that went through the pipeline
 

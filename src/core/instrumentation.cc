@@ -165,6 +165,7 @@ void ExportPipelineCosts(obs::MetricsRegistry* metrics, const std::string& prefi
   set(".cost.pipeline.sort_queue_wait_seconds", costs.sort_queue_wait_seconds);
   set(".cost.pipeline.drain_queue_wait_seconds", costs.drain_queue_wait_seconds);
   set(".cost.pipeline.sort_wall_seconds", costs.sort_wall_seconds);
+  set(".cost.pipeline.stage_wall_seconds", costs.stage_wall_seconds);
   set(".cost.pipeline.drain_wall_seconds", costs.drain_wall_seconds);
   set(".cost.pipeline.batches", static_cast<double>(costs.pipelined_batches));
   set(".cost.simulated.histogram_seconds", costs.SimulatedHistogramSeconds(model));

@@ -9,6 +9,7 @@
 #include "common/timer.h"
 #include "gpu/half.h"
 #include "hwmodel/hardware_profiles.h"
+#include "sketch/gk_summary.h"
 
 namespace streamgpu::core {
 
@@ -39,6 +40,19 @@ std::uint64_t NaturalWindow(const Options& options) {
                                options.sliding_window);
 }
 
+/// The exact-run width L (ExactRunWindows) when batches of L windows can
+/// carry runs, i.e. L is at least the engine's own batch width; 0 otherwise,
+/// and batches keep the engine's width. Nothing here depends on the worker
+/// count or the in-flight cap, so a serial estimator and its pipelined twin
+/// batch alike and their cost records stay bit-identical.
+std::uint64_t RunWindows(const Options& options, int engine_batch_windows) {
+  const std::uint64_t run = ExactRunWindows(options.epsilon, NaturalWindow(options),
+                                            options.sliding_window,
+                                            options.expected_stream_length,
+                                            options.quantile_sketch);
+  return run >= static_cast<std::uint64_t>(engine_batch_windows) ? run : 0;
+}
+
 }  // namespace
 
 StatusOr<std::unique_ptr<QuantileEstimator>> QuantileEstimator::Create(
@@ -52,12 +66,18 @@ QuantileEstimator::QuantileEstimator(const Options& options)
     : options_(ValidatedOptions(options)),
       obs_(options.obs),
       engine_(options),
-      // engine_ is declared (and therefore initialized) before batcher_.
-      batcher_(NaturalWindow(options), engine_.batch_windows()),
+      // engine_ and run_windows_ are declared (and therefore initialized)
+      // before batcher_.
+      run_windows_(RunWindows(options, engine_.batch_windows())),
+      batcher_(NaturalWindow(options),
+               run_windows_ != 0 ? static_cast<int>(run_windows_) : engine_.batch_windows()),
       core_(options.epsilon, batcher_.window_size(), options.sliding_window,
             options.expected_stream_length, options.quantile_sketch),
       cpu_model_(hwmodel::kPentium4_3400) {
   ids_ = EstimatorMetricIds::Register(obs_.metrics, kPrefix, batcher_.window_size());
+  if (obs_.metrics != nullptr) {
+    run_windows_merged_ = obs_.metrics->Counter(std::string(kPrefix) + ".merge.run_windows");
+  }
   if (obs_.trace != nullptr) obs_.trace->NameCurrentThread("ingest");
   if (obs_.trace != nullptr && obs_.metrics != nullptr) {
     // Span-cap overflow becomes visible as obs.trace.spans_dropped.
@@ -122,17 +142,23 @@ QuantileEstimator::QuantileEstimator(const Options& options)
       sorters.push_back(front);
     }
     stream::PipelineConfig config = MakePipelineConfig(
-        options, batcher_.window_size(), engine_.batch_windows(), kPrefix);
+        options, batcher_.window_size(), batcher_.batch_windows(), kPrefix);
     if (options.fault.enabled()) {
       config.queue_stall_hook = [this](int worker_index) {
         return worker_injectors_[static_cast<std::size_t>(worker_index)]->PollQueueStall();
       };
     }
+    if (run_windows_ != 0) {
+      config.worker_stage = [this](std::span<const float> sorted_batch,
+                                   std::uint64_t quarantine_mask, std::vector<float>* out) {
+        BuildExactRun(sorted_batch, quarantine_mask, out);
+      };
+    }
     pipeline_ = std::make_unique<stream::SortPipeline>(
         config, std::move(sorters),
         [this](std::vector<float>&& data, const sort::SortRunInfo& run,
-               std::uint64_t quarantine_mask) {
-          return DrainSortedBatch(std::move(data), run, quarantine_mask);
+               std::uint64_t quarantine_mask, std::span<const float> exact_run) {
+          return DrainSortedBatch(std::move(data), run, quarantine_mask, exact_run);
         });
   }
 }
@@ -204,7 +230,7 @@ Status QuantileEstimator::ObserveValue(float value) {
 }
 
 Status QuantileEstimator::SubmitFullBatch() {
-  EndIngestSpan(batcher_.window_size() * engine_.batch_windows());
+  EndIngestSpan(batcher_.window_size() * batcher_.batch_windows());
   if (pipeline_ != nullptr) {
     const Status status =
         pipeline_->Submit(batcher_.TakeBuffer(pipeline_->AcquireBuffer()));
@@ -256,20 +282,14 @@ void QuantileEstimator::ProcessBuffered() {
   sort_front_->SortRuns(windows);
   costs_.sort += sort_front_->last_run();
   const std::uint64_t quarantine_mask = sort_front_->last_quarantine_mask();
+  BuildExactRun(batcher_.contents(), quarantine_mask, &serial_run_);
 
   const std::uint64_t seq = drain_seq_++;
   const bool traced = obs_.trace != nullptr && obs_.trace->Sampled(seq);
   const double t0 = traced ? obs_.trace->NowMicros() : 0;
   Timer drain_timer;
-  std::size_t elements = 0;
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    if ((quarantine_mask >> i) & 1) {
-      QuarantineWindow(windows[i].size());
-      continue;
-    }
-    elements += windows[i].size();
-    MergeSortedWindow(windows[i]);
-  }
+  const std::size_t elements =
+      MergeSortedBatch(batcher_.contents(), quarantine_mask, serial_run_);
   if (obs_.metrics != nullptr) {
     obs_.metrics->Observe(ids_.drain_latency, drain_timer.ElapsedSeconds() * 1e6);
   }
@@ -283,13 +303,66 @@ void QuantileEstimator::ProcessBuffered() {
 
 Status QuantileEstimator::DrainSortedBatch(std::vector<float>&& data,
                                            const sort::SortRunInfo& run,
-                                           std::uint64_t quarantine_mask) {
+                                           std::uint64_t quarantine_mask,
+                                           std::span<const float> exact_run) {
   // Runs on the pipeline's summary thread, in submission order — the same
   // accumulation order as serial execution, so the cost record (including
   // the floating-point simulated-seconds sums) stays bit-identical.
   costs_.sort += run;
   Timer drain_timer;
+  MergeSortedBatch(data, quarantine_mask, exact_run);
+  if (obs_.metrics != nullptr) {
+    obs_.metrics->Observe(ids_.drain_latency, drain_timer.ElapsedSeconds() * 1e6);
+  }
+  return Status::Ok();
+}
+
+void QuantileEstimator::BuildExactRun(std::span<const float> sorted_batch,
+                                      std::uint64_t quarantine_mask,
+                                      std::vector<float>* out) const {
+  out->clear();
+  if (run_windows_ == 0 || quarantine_mask != 0 ||
+      sorted_batch.size() != run_windows_ * batcher_.window_size() ||
+      runs_refused_.load()) {
+    return;
+  }
+  sketch::GkSummary::MergeWindowsInCascadeOrder(sorted_batch, batcher_.window_size(), out);
+}
+
+std::size_t QuantileEstimator::MergeSortedBatch(std::span<const float> data,
+                                                std::uint64_t quarantine_mask,
+                                                std::span<const float> exact_run) {
   const std::uint64_t window_size = batcher_.window_size();
+  if (!exact_run.empty()) {
+    const std::uint64_t seq = window_seq_;
+    const bool traced = obs_.trace != nullptr && obs_.trace->Sampled(seq);
+    const double t0 = traced ? obs_.trace->NowMicros() : 0;
+    Timer merge_timer;
+    if (core_.MergeExactRun(exact_run, run_windows_)) {
+      window_seq_ += run_windows_;
+      if (obs_.metrics != nullptr) {
+        // Per-window counters and histograms advance exactly as the
+        // per-window path advances them; the latency is the node insert's.
+        obs_.metrics->Add(ids_.windows_merged, run_windows_);
+        obs_.metrics->Add(ids_.elements_merged, exact_run.size());
+        for (std::uint64_t i = 0; i < run_windows_; ++i) {
+          obs_.metrics->Record(ids_.window_elements, static_cast<double>(window_size));
+        }
+        obs_.metrics->Add(run_windows_merged_, run_windows_);
+        obs_.metrics->Observe(ids_.merge_latency, merge_timer.ElapsedSeconds() * 1e6);
+      }
+      if (traced) {
+        obs_.trace->AddSpan("run_merge", "merge", t0, obs_.trace->NowMicros() - t0,
+                            {{"window", static_cast<double>(seq)},
+                             {"windows", static_cast<double>(run_windows_)},
+                             {"elements", static_cast<double>(exact_run.size())}});
+      }
+      return exact_run.size();
+    }
+    // A misaligned window counter stays misaligned: stop building runs.
+    runs_refused_.store(true);
+  }
+  std::size_t elements = 0;
   std::size_t window_index = 0;
   for (std::size_t off = 0; off < data.size(); off += window_size, ++window_index) {
     const std::size_t len = std::min<std::size_t>(window_size, data.size() - off);
@@ -297,19 +370,17 @@ Status QuantileEstimator::DrainSortedBatch(std::vector<float>&& data,
       QuarantineWindow(len);
       continue;
     }
-    MergeSortedWindow(std::span<float>(data.data() + off, len));
+    elements += len;
+    MergeSortedWindow(data.subspan(off, len));
   }
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->Observe(ids_.drain_latency, drain_timer.ElapsedSeconds() * 1e6);
-  }
-  return Status::Ok();
+  return elements;
 }
 
 void QuantileEstimator::QuarantineWindow(std::size_t elements) {
   core_.QuarantineWindow(elements);
 }
 
-void QuantileEstimator::MergeSortedWindow(std::span<float> window) {
+void QuantileEstimator::MergeSortedWindow(std::span<const float> window) {
   const std::uint64_t seq = window_seq_++;
   const bool traced = obs_.trace != nullptr && obs_.trace->Sampled(seq);
   const double t0 = traced ? obs_.trace->NowMicros() : 0;
@@ -340,6 +411,7 @@ void QuantileEstimator::Sync() const {
   costs_.sort_queue_wait_seconds = stats.sort_queue_wait_seconds;
   costs_.drain_queue_wait_seconds = stats.drain_queue_wait_seconds;
   costs_.sort_wall_seconds = stats.sort_wall_seconds;
+  costs_.stage_wall_seconds = stats.stage_wall_seconds;
   costs_.drain_wall_seconds = stats.drain_wall_seconds;
   costs_.pipelined_batches = stats.batches;
 }
@@ -356,7 +428,7 @@ QuantileReport QuantileEstimator::Quantile(double phi, std::uint64_t window) con
 
 Status QuantileEstimator::MaybeAutoCheckpoint() {
   if (options_.checkpoint_every_windows == 0) return Status::Ok();
-  windows_since_checkpoint_ += static_cast<std::uint64_t>(engine_.batch_windows());
+  windows_since_checkpoint_ += static_cast<std::uint64_t>(batcher_.batch_windows());
   if (windows_since_checkpoint_ < options_.checkpoint_every_windows) {
     return Status::Ok();
   }
@@ -471,21 +543,31 @@ Status QuantileEstimator::InstallSnapshot(const durable::Snapshot& snapshot) {
     if (!durable::ReadWindowBuffer(staged->payload, &buffered)) {
       return Status::InvalidArgument("malformed window-buffer record");
     }
-    const std::size_t capacity =
-        batcher_.window_size() * static_cast<std::size_t>(engine_.batch_windows());
-    if (buffered.empty() || buffered.size() >= capacity) {
+    // A checkpoint stages less than one of its writer's batches, and no
+    // batch exceeds 64 windows (the quarantine mask's width). A writer with
+    // wider batches than this estimator's (the width follows the sort
+    // backend and the sketch configuration, docs/ARCHITECTURE.md) can stage
+    // more than one of ours: the full ones are submitted here.
+    const std::size_t limit = batcher_.window_size() * 64;
+    if (buffered.empty() || buffered.size() >= limit) {
       return Status::InvalidArgument(
           "window-buffer record stages " + std::to_string(buffered.size()) +
-          " elements; a checkpoint stages between 1 and " +
-          std::to_string(capacity - 1));
+          " elements; a checkpoint stages between 1 and " + std::to_string(limit - 1));
     }
     // The staged elements were quantized at original ingest; copy them back
     // verbatim instead of re-quantizing.
-    const std::span<float> slot = batcher_.Claim(buffered.size());
-    std::copy(buffered.begin(), buffered.end(), slot.begin());
+    for (std::size_t done = 0; done < buffered.size();) {
+      const std::span<float> slot = batcher_.Claim(buffered.size() - done);
+      std::copy_n(buffered.begin() + static_cast<std::ptrdiff_t>(done), slot.size(),
+                  slot.begin());
+      done += slot.size();
+      if (batcher_.full()) {
+        if (Status s = SubmitFullBatch(); !s.ok()) return s;
+      }
+    }
   }
 
-  const std::uint64_t covered = core_.processed() + core_.elements_dropped() +
+  const std::uint64_t covered = processed_length() + core_.elements_dropped() +
                                 core_.elements_shed() + batcher_.buffered();
   if (snapshot.watermark != covered) {
     return Status::InvalidArgument(

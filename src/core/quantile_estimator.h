@@ -7,6 +7,7 @@
 #ifndef STREAMGPU_CORE_QUANTILE_ESTIMATOR_H_
 #define STREAMGPU_CORE_QUANTILE_ESTIMATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -170,10 +171,25 @@ class QuantileEstimator {
   void ProcessBuffered();
 
   /// Pipelined path: consumes one sorted batch on the summary thread, in
-  /// submission order. Quarantined windows (mask bit set) are skipped and
-  /// accounted instead of merged.
+  /// submission order, through MergeSortedBatch. `exact_run` is what the
+  /// worker stage (BuildExactRun) made of the batch.
   Status DrainSortedBatch(std::vector<float>&& data, const sort::SortRunInfo& run,
-                          std::uint64_t quarantine_mask);
+                          std::uint64_t quarantine_mask, std::span<const float> exact_run);
+
+  /// The worker stage of the exact-run path: merges a batch of exactly
+  /// run_windows_ full, unquarantined windows in cascade order into `out`
+  /// (sketch::GkSummary::MergeWindowsInCascadeOrder); leaves `out` empty for
+  /// any other batch. Reads nothing the drain writes except the
+  /// runs_refused_ latch, so sort workers call it concurrently.
+  void BuildExactRun(std::span<const float> sorted_batch, std::uint64_t quarantine_mask,
+                     std::vector<float>* out) const;
+
+  /// The one batch-insert path of both modes: folds a non-empty `exact_run`
+  /// as one node when the summary core takes it, else merges the batch
+  /// window by window, skipping and accounting quarantined windows (mask
+  /// bit set). Returns the elements merged.
+  std::size_t MergeSortedBatch(std::span<const float> data, std::uint64_t quarantine_mask,
+                               std::span<const float> exact_run);
 
   /// Accounts one unrecoverable window (widens the reported error bound);
   /// delegates to the shared summary core.
@@ -181,7 +197,7 @@ class QuantileEstimator {
 
   /// Rank-samples one sorted window into a GK summary and merges it (shared
   /// by both paths; runs on the summary thread when pipelined).
-  void MergeSortedWindow(std::span<float> window);
+  void MergeSortedWindow(std::span<const float> window);
 
   /// Pipelined mode: waits for in-flight batches and refreshes the pipeline
   /// wait-stats in costs_. No-op in serial mode.
@@ -193,6 +209,10 @@ class QuantileEstimator {
   Options options_;
   obs::Observability obs_;
   SortEngine engine_;
+  /// Windows per exact run, which is then also the batch width (see
+  /// docs/ARCHITECTURE.md, "Batch width"); 0 when this configuration has no
+  /// exact-run path.
+  const std::uint64_t run_windows_;
   stream::WindowBatcher batcher_;
   /// Summary state + report construction, shared with service::StreamService
   /// (core/summary_core.h) — the single implementation both execution paths
@@ -207,6 +227,12 @@ class QuantileEstimator {
   std::unique_ptr<durable::CheckpointWriter> checkpoint_writer_;
   std::uint64_t windows_since_checkpoint_ = 0;
 
+  /// Set once the summary core refused an exact run (its window counter is
+  /// misaligned with the batches, e.g. after a quarantined window): runs
+  /// are not built from then on, and every batch merges window by window.
+  std::atomic<bool> runs_refused_{false};
+  std::vector<float> serial_run_;  ///< serial mode's exact run (and its workspace)
+
   /// Fault injection and recovery (all null / zero when Options::fault is
   /// disabled — the hot path then never sees them).
   std::unique_ptr<FaultInjector> fault_injector_;            ///< serial-path injector
@@ -216,6 +242,7 @@ class QuantileEstimator {
 
   /// Observability wiring (null ids / null decorators when disabled).
   EstimatorMetricIds ids_;
+  obs::MetricId run_windows_merged_ = obs::kInvalidMetric;  ///< quant.merge.run_windows
   std::unique_ptr<TracingSorter> traced_sorter_;  ///< wraps engine_ (serial path)
   sort::Sorter* sort_front_ = nullptr;            ///< engine sorter or its decorator(s)
   std::uint64_t window_seq_ = 0;                  ///< windows merged; trace sampling

@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/timer.h"
+#include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
 #include "sketch/histogram.h"
 #include "sketch/wire.h"
@@ -41,6 +42,15 @@ std::uint64_t ExpectedLength(std::uint64_t expected_stream_length,
 }
 
 }  // namespace
+
+std::uint64_t ExactRunWindows(double epsilon, std::uint64_t window_size,
+                              std::uint64_t sliding_window,
+                              std::uint64_t expected_stream_length,
+                              sketch::QuantileSketchKind kind) {
+  if (sliding_window != 0 || kind != sketch::QuantileSketchKind::kGk) return 0;
+  return sketch::LosslessBlockWindows(
+      epsilon, window_size, ExpectedLength(expected_stream_length, window_size));
+}
 
 QuantileSummaryCore::QuantileSummaryCore(double epsilon,
                                          std::uint64_t window_size,
@@ -85,6 +95,14 @@ std::size_t QuantileSummaryCore::MergeSortedWindow(std::span<const float> window
   histogram_elements_ += window.size();
   processed_ += window.size();
   return summary_tuples;
+}
+
+bool QuantileSummaryCore::MergeExactRun(std::span<const float> run,
+                                        std::uint64_t windows) {
+  if (whole_ == nullptr || !whole_->AddExactRun(run, windows)) return false;
+  histogram_elements_ += run.size();
+  processed_ += run.size();
+  return true;
 }
 
 void QuantileSummaryCore::QuarantineWindow(std::size_t elements) {

@@ -42,6 +42,15 @@ std::uint64_t NaturalQuantileWindow(double epsilon, std::uint64_t window_size,
 std::uint64_t NaturalFrequencyWindow(double epsilon, std::uint64_t window_size,
                                      std::uint64_t sliding_window);
 
+/// The exact-run batch width of a quantile stream: sketch::
+/// LosslessBlockWindows at the core's resolved expected length for a
+/// whole-history GK+EH stream, 0 for every other configuration (sliding
+/// mode, the other sketch kinds, or windows FromSorted samples).
+std::uint64_t ExactRunWindows(double epsilon, std::uint64_t window_size,
+                              std::uint64_t sliding_window,
+                              std::uint64_t expected_stream_length,
+                              sketch::QuantileSketchKind kind);
+
 /// Whole-history / sliding-window quantile summary with quarantine and
 /// load-shed accounting. One instance per stream; merges take sorted
 /// windows (ascending bit-pattern order, any backend).
@@ -62,6 +71,12 @@ class QuantileSummaryCore {
   /// Folds one sorted window into the backend sketch. Returns the condensed
   /// per-window summary's tuple count (trace metadata).
   std::size_t MergeSortedWindow(std::span<const float> window);
+
+  /// Folds `windows` consecutive full windows given as one cascade-order
+  /// run (sketch::QuantileSketch::AddExactRun). Returns false, changing
+  /// nothing, when the backend refuses the run; the caller then merges the
+  /// windows one by one, which yields the same state.
+  bool MergeExactRun(std::span<const float> run, std::uint64_t windows);
 
   /// Accounts one unrecoverable window: not merged, not counted as
   /// processed; widens the error bound by its element count.

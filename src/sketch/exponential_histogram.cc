@@ -1,6 +1,7 @@
 #include "sketch/exponential_histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -69,9 +70,35 @@ void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
                       "window summary must be (epsilon/2)-approximate");
   count_ += window_summary.count();
   flattened_.reset();
+  Carry(std::move(window_summary), 1);
+}
 
-  GkSummary carry = std::move(window_summary);
-  std::size_t id = 1;
+bool EhQuantileSummary::AddExactRun(std::span<const float> run, std::uint64_t windows) {
+  if (windows < 2 || !std::has_single_bit(windows)) return false;
+  if (run.size() % windows != 0 || run.size() / windows != window_size_ ||
+      run.size() > prune_tuples_ + 1) {
+    return false;
+  }
+  const std::size_t id = static_cast<std::size_t>(std::countr_zero(windows)) + 1;
+  for (std::size_t low = 1; low < id; ++low) {
+    if (!buckets_[low - 1].empty()) return false;
+  }
+  std::vector<GkTuple> tuples(run.size());
+  for (std::size_t i = 0; i < run.size(); ++i) tuples[i] = {run[i], i + 1, i + 1};
+  GkSummary node;
+  if (!GkSummary::FromParts(std::move(tuples), run.size(), 0.0, &node)) return false;
+
+  // The id-1 levels below the node each merged (and passed through the
+  // prune check) every one of its tuples once.
+  merged_tuples_ += run.size() * (id - 1);
+  pruned_tuples_ += run.size() * (id - 1);
+  count_ += run.size();
+  flattened_.reset();
+  Carry(std::move(node), id);
+  return true;
+}
+
+void EhQuantileSummary::Carry(GkSummary carry, std::size_t id) {
   while (id <= buckets_.size() && !buckets_[id - 1].empty()) {
     // Combine the two same-id buckets: merge, then prune with the error
     // parameter of bucket id + 1 (§5.2).
@@ -116,6 +143,16 @@ std::size_t EhQuantileSummary::TotalTuples() const {
   std::size_t total = 0;
   for (const GkSummary& bucket : buckets_) total += bucket.size();
   return total;
+}
+
+std::uint64_t LosslessBlockWindows(double epsilon, std::uint64_t window_size,
+                                   std::uint64_t expected_length) {
+  if (static_cast<std::uint64_t>(epsilon * static_cast<double>(window_size)) > 1) return 0;
+  const std::size_t budget =
+      EhQuantileSummary(epsilon, window_size, expected_length).prune_tuples() + 1;
+  std::uint64_t windows = 64;
+  while (windows >= 2 && windows * window_size > budget) windows /= 2;
+  return windows >= 2 ? windows : 0;
 }
 
 int EhQuantileSummary::MaxBucketId() const {

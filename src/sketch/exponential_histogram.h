@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sketch/gk_summary.h"
@@ -36,6 +37,20 @@ class EhQuantileSummary {
   /// combine cascade. `window_summary` must be an (epsilon/2)-approximate
   /// summary (e.g. GkSummary::FromSorted(sorted_window, epsilon/2)).
   void AddWindowSummary(GkSummary window_summary);
+
+  /// Inserts `windows` exact windows at once: `run` is their merge in
+  /// cascade order (GkSummary::MergeWindowsInCascadeOrder), which becomes
+  /// the node at bucket id log2(windows)+1 with rmin = rmax = position and
+  /// epsilon 0 — the node the cascade builds from exact window summaries
+  /// (every element kept, e.g. FromSorted at rank step 1) when none of its
+  /// merges prunes. The combine cascade then continues from that id. Applies
+  /// only when `windows` is a power of two >= 2, `run` holds windows *
+  /// window_size elements and no more than prune_tuples() + 1, and buckets
+  /// 1..log2(windows) are vacant — exactly when feeding the same windows
+  /// one by one builds this node. Otherwise returns false and leaves the
+  /// state untouched. Merge/prune tuple counters advance as the per-window
+  /// cascade advances them.
+  bool AddExactRun(std::span<const float> run, std::uint64_t windows);
 
   /// Reconstructs a summary from checkpointed parts (the durability restore
   /// path, docs/DURABILITY.md). `buckets` uses the buckets() layout: index i
@@ -90,6 +105,9 @@ class EhQuantileSummary {
   std::uint64_t pruned_tuples() const { return pruned_tuples_; }
 
  private:
+  /// The combine cascade: folds `carry` into bucket `id` and upward.
+  void Carry(GkSummary carry, std::size_t id);
+
   double epsilon_;
   std::uint64_t window_size_;
   int levels_;
@@ -102,6 +120,15 @@ class EhQuantileSummary {
   std::uint64_t pruned_tuples_ = 0;
   mutable std::optional<GkSummary> flattened_;  ///< Flattened() cache; reset per mutation
 };
+
+/// The batch width at which GK+EH maintenance can take exact runs: the
+/// largest power of two L <= 64 with L * window_size <= prune_tuples() + 1,
+/// so the cascade node of L windows is never pruned. Requires that the
+/// windows are exact — floor(epsilon * window_size) <= 1, so FromSorted at
+/// epsilon/2 (what the GK+EH quantile sketch feeds) keeps every element.
+/// Returns 0 when the windows are not exact or fewer than two fit.
+std::uint64_t LosslessBlockWindows(double epsilon, std::uint64_t window_size,
+                                   std::uint64_t expected_length);
 
 }  // namespace streamgpu::sketch
 

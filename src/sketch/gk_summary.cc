@@ -1,7 +1,9 @@
 #include "sketch/gk_summary.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -29,6 +31,47 @@ std::size_t BestAtBoundary(const std::vector<GkTuple>& tuples, std::size_t bound
   std::size_t best = std::min(boundary, tuples.size() - 1);
   if (best > 0 && cost(tuples[best - 1]) < cost(tuples[best])) --best;
   return best;
+}
+
+/// GkSummary::Merge on bare values: `a` is the first operand and wins ties.
+/// The predicate and operand order must stay identical to Merge's, or the
+/// run path stops being bit-identical to the cascade.
+void MergeRuns(const float* a, const float* b, std::size_t len, float* out) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < len && j < len) *out++ = a[i] <= b[j] ? a[i++] : b[j++];
+  out = std::copy(a + i, a + len, out);
+  std::copy(b + j, b + len, out);
+}
+
+/// Debug cross-check of MergeWindowsInCascadeOrder: builds the cascade node
+/// the GK path builds from the same windows (whole-window FromSorted
+/// summaries, merged later-first in the same tree) and compares it with the
+/// run bit for bit, ranks included.
+[[maybe_unused]] bool MatchesCascadeNode(std::span<const float> run,
+                                         std::span<const float> windows,
+                                         std::size_t window_size) {
+  std::vector<GkSummary> level;
+  for (std::size_t off = 0; off < windows.size(); off += window_size) {
+    level.push_back(GkSummary::FromSorted(windows.subspan(off, window_size),
+                                          std::numeric_limits<double>::min()));
+  }
+  while (level.size() > 1) {
+    std::vector<GkSummary> next;
+    for (std::size_t i = 0; i < level.size(); i += 2) {
+      next.push_back(GkSummary::Merge(level[i + 1], level[i]));
+    }
+    level = std::move(next);
+  }
+  const std::vector<GkTuple>& node = level.front().tuples();
+  if (node.size() != run.size()) return false;
+  for (std::size_t i = 0; i < node.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(node[i].value) != std::bit_cast<std::uint32_t>(run[i]) ||
+        node[i].rmin != i + 1 || node[i].rmax != i + 1) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -100,6 +143,7 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
   std::size_t j = 0;  // next b-tuple
 
   while (i < a.size() || j < b.size()) {
+    // MergeRuns (above) mirrors this exact predicate and operand order.
     const bool take_a =
         j >= b.size() || (i < a.size() && a.tuples_[i].value <= b.tuples_[j].value);
     if (take_a) {
@@ -121,6 +165,33 @@ GkSummary GkSummary::Merge(const GkSummary& a, const GkSummary& b) {
     }
   }
   return out;
+}
+
+void GkSummary::MergeWindowsInCascadeOrder(std::span<const float> windows,
+                                           std::size_t window_size,
+                                           std::vector<float>* out) {
+  const std::size_t n = windows.size();
+  STREAMGPU_CHECK(window_size >= 1 && n % window_size == 0);
+  STREAMGPU_CHECK(std::has_single_bit(n / window_size));
+  // Levels ping-pong between the two halves of `out`, starting in the one
+  // that makes the last level land in the front half.
+  out->resize(2 * n);
+  const int levels = std::countr_zero(n / window_size);
+  float* dst = out->data() + (levels % 2 == 1 ? 0 : n);
+  float* spare = out->data() + (levels % 2 == 1 ? n : 0);
+  if (levels == 0) std::copy(windows.begin(), windows.end(), out->begin());
+  const float* src = windows.data();
+  for (std::size_t width = window_size; width < n; width *= 2) {
+    // The cascade folds each block into its earlier sibling as
+    // Merge(later, earlier).
+    for (std::size_t base = 0; base < n; base += 2 * width) {
+      MergeRuns(src + base + width, src + base, width, dst + base);
+    }
+    src = dst;
+    std::swap(dst, spare);
+  }
+  out->resize(n);
+  STREAMGPU_DCHECK(MatchesCascadeNode(*out, windows, window_size));
 }
 
 GkSummary GkSummary::Prune(std::size_t max_tuples) const {

@@ -50,6 +50,19 @@ class GkSummary {
   /// elements ([21]'s merge).
   static GkSummary Merge(const GkSummary& a, const GkSummary& b);
 
+  /// Merges a block of 2^k sorted windows of `window_size` elements each
+  /// (concatenated in stream order) into one float run in the GK+EH
+  /// cascade's own tree order: pairwise, bottom up, the later block as
+  /// Merge's first operand. For windows FromSorted keeps whole (rank step
+  /// 1), the result is exactly the value sequence of the cascade node those
+  /// windows build, whose tuple at position i has rmin = rmax = i + 1. The
+  /// result replaces the contents of `out`, which also serves as the merge
+  /// workspace (twice the run's length) and keeps that capacity, so a
+  /// reused buffer never allocates.
+  static void MergeWindowsInCascadeOrder(std::span<const float> windows,
+                                         std::size_t window_size,
+                                         std::vector<float>* out);
+
   /// Reduces the summary to at most max_tuples + 1 tuples by querying it at
   /// ranks i*count()/max_tuples, i = 0..max_tuples, at the price of
   /// 1/(2*max_tuples) additional error ([21]'s prune; §5.2's compress).

@@ -37,7 +37,11 @@ class GkEhSketch final : public QuantileSketch {
  public:
   GkEhSketch(double epsilon, std::uint64_t window_size,
              std::uint64_t expected_length)
-      : epsilon_(epsilon), eh_(epsilon, window_size, expected_length) {}
+      : epsilon_(epsilon),
+        // A run stands for whole-window summaries only when AddSortedWindow's
+        // FromSorted keeps every element.
+        takes_runs_(LosslessBlockWindows(epsilon, window_size, expected_length) != 0),
+        eh_(epsilon, window_size, expected_length) {}
 
   std::size_t AddSortedWindow(std::span<const float> window) override {
     Timer timer;
@@ -46,6 +50,10 @@ class GkEhSketch final : public QuantileSketch {
     const std::size_t tuples = summary.size();
     eh_.AddWindowSummary(std::move(summary));
     return tuples;
+  }
+
+  bool AddExactRun(std::span<const float> run, std::uint64_t windows) override {
+    return takes_runs_ && eh_.AddExactRun(run, windows);
   }
 
   float Query(double phi) const override { return eh_.Query(phi); }
@@ -125,6 +133,7 @@ class GkEhSketch final : public QuantileSketch {
 
  private:
   double epsilon_;
+  bool takes_runs_;
   EhQuantileSummary eh_;
   double summarize_seconds_ = 0;
 };

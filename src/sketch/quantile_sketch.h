@@ -51,6 +51,16 @@ class QuantileSketch {
   /// insert elements directly).
   virtual std::size_t AddSortedWindow(std::span<const float> window) = 0;
 
+  /// Folds `windows` consecutive sorted windows given as one run merged in
+  /// cascade order (sketch::GkSummary::MergeWindowsInCascadeOrder), leaving
+  /// exactly the state AddSortedWindow on each window would. Returns false,
+  /// with the sketch untouched, when the backend cannot take this run
+  /// (GK+EH: see EhQuantileSummary::AddExactRun); the caller then feeds the
+  /// windows one by one. No other backend takes runs.
+  virtual bool AddExactRun(std::span<const float> /*run*/, std::uint64_t /*windows*/) {
+    return false;
+  }
+
   /// The phi-quantile (phi in (0, 1]) over everything added. Callers guard
   /// the empty case (count() == 0) themselves, mirroring the summary core's
   /// coverage-0 contract.

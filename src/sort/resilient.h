@@ -44,7 +44,8 @@ struct ResilienceOptions {
 };
 
 /// Verifies and heals an inner sorter. Batches are limited to 64 runs (the
-/// quarantine mask width); every caller batches at most 4 (the RGBA packing).
+/// quarantine mask width), which also caps the quantile path's exact-run
+/// batch width (docs/ARCHITECTURE.md).
 class ResilientSorter final : public Sorter {
  public:
   /// Recovery/accounting totals since construction.

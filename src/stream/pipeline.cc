@@ -42,7 +42,8 @@ SortPipeline::SortPipeline(const PipelineConfig& config,
       trace_label_(config.trace_label),
       flight_(config.flight),
       drain_deadline_seconds_(config.drain_deadline_seconds),
-      queue_stall_hook_(config.queue_stall_hook) {
+      queue_stall_hook_(config.queue_stall_hook),
+      worker_stage_(config.worker_stage) {
   STREAMGPU_CHECK_MSG(window_size_ >= 1, "pipeline window_size must be >= 1");
   STREAMGPU_CHECK_MSG(!sorters_.empty(), "pipeline needs at least one sorter");
   for (sort::Sorter* sorter : sorters_) STREAMGPU_CHECK(sorter != nullptr);
@@ -54,6 +55,7 @@ SortPipeline::SortPipeline(const PipelineConfig& config,
   pending_ring_.resize(static_cast<std::size_t>(max_in_flight_));
   sorted_ring_.resize(static_cast<std::size_t>(max_in_flight_));
   free_buffers_.reserve(static_cast<std::size_t>(max_in_flight_) + 1);
+  if (worker_stage_) stage_outputs_.resize(static_cast<std::size_t>(max_in_flight_));
   window_scratch_.resize(sorters_.size());
 
   workers_.reserve(sorters_.size());
@@ -61,6 +63,17 @@ SortPipeline::SortPipeline(const PipelineConfig& config,
     workers_.emplace_back(&SortPipeline::WorkerLoop, this, static_cast<int>(i));
   }
   drain_thread_ = std::thread(&SortPipeline::DrainLoop, this);
+}
+
+SortPipeline::SortPipeline(const PipelineConfig& config,
+                           std::vector<sort::Sorter*> sorters, BatchDrainFn drain)
+    : SortPipeline(config, std::move(sorters),
+                   DrainFn([drain = std::move(drain)](
+                               std::vector<float>&& data, const sort::SortRunInfo& run,
+                               std::uint64_t quarantine_mask, std::span<const float>) {
+                     return drain(std::move(data), run, quarantine_mask);
+                   })) {
+  STREAMGPU_CHECK_MSG(!worker_stage_, "a pipeline with a worker stage needs a DrainFn");
 }
 
 SortPipeline::~SortPipeline() {
@@ -105,6 +118,15 @@ core::Status SortPipeline::Submit(std::vector<float>&& batch) {
       trace_->AddSpan("ingest_stall", "ingest", trace_start, stall_us,
                       {{"seq", static_cast<double>(next_submit_seq_)}});
     }
+  }
+  if (!pool_primed_) {
+    // Stock the recycling pool with every buffer the in-flight cap can ever
+    // need, so AcquireBuffer() never comes back empty and steady state does
+    // not depend on how full the pipeline happened to get while warming up.
+    for (int i = 0; i < max_in_flight_; ++i) {
+      free_buffers_.emplace_back().reserve(batch.capacity());
+    }
+    pool_primed_ = true;
   }
   ++in_flight_;
   PendingBatch& slot =
@@ -193,9 +215,29 @@ void SortPipeline::WorkerLoop(int worker_index) {
     const std::uint64_t quarantine_mask = sorter->last_quarantine_mask();
     const double sort_wall = sort_timer.ElapsedSeconds();
 
+    double stage_wall = 0;
+    if (worker_stage_) {
+      // The batch's reorder slot index also picks its stage buffer, which the
+      // in-flight cap keeps exclusive to this batch until it has drained.
+      std::vector<float>& stage_output = stage_outputs_[batch.seq % stage_outputs_.size()];
+      const bool traced = trace_ != nullptr && trace_->Sampled(batch.seq);
+      const double trace_start = traced ? trace_->NowMicros() : 0;
+      Timer stage_timer;
+      stage_output.clear();
+      worker_stage_(batch.data, quarantine_mask, &stage_output);
+      stage_wall = stage_timer.ElapsedSeconds();
+      if (traced) {
+        trace_->AddSpan("stage_batch", "stage", trace_start,
+                        trace_->NowMicros() - trace_start,
+                        {{"seq", static_cast<double>(batch.seq)},
+                         {"output", static_cast<double>(stage_output.size())}});
+      }
+    }
+
     {
       std::lock_guard<std::mutex> lock(mu_);
       stats_.sort_wall_seconds += sort_wall;
+      stats_.stage_wall_seconds += stage_wall;
       SortedBatch& slot = sorted_ring_[batch.seq % sorted_ring_.size()];
       STREAMGPU_DCHECK(!slot.occupied);
       slot.data = std::move(batch.data);
@@ -237,7 +279,11 @@ void SortPipeline::DrainLoop() {
     const bool traced = trace_ != nullptr && trace_->Sampled(seq);
     const double trace_start = traced ? trace_->NowMicros() : 0;
     Timer drain_timer;
-    core::Status drain_status = drain_(std::move(batch.data), batch.run, batch.quarantine_mask);
+    const std::span<const float> stage_output =
+        worker_stage_ ? std::span<const float>(stage_outputs_[seq % stage_outputs_.size()])
+                      : std::span<const float>();
+    core::Status drain_status =
+        drain_(std::move(batch.data), batch.run, batch.quarantine_mask, stage_output);
     const double drain_wall = drain_timer.ElapsedSeconds();
     if (!drain_status.ok()) {
       // The summary stage is broken; draining further batches into it would

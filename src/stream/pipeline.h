@@ -10,12 +10,17 @@
 //
 //   caller thread          N sort workers              1 summary thread
 //   Submit(batch) ──queue──> SortRuns(windows) ──reorder──> drain(batch)
+//                            [+ worker stage]
 //
 // * The caller (ingest) thread hands over whole window-batches and blocks
 //   only when `max_batches_in_flight` batches are already in the pipeline
 //   (backpressure, accounted as ingest stall time).
 // * Each sort worker owns its own Sorter — for the GPU backends that means
 //   one simulated GpuDevice per worker, so GpuStats counting never races.
+// * An optional worker stage runs on the sort worker right after SortRuns
+//   and hands the drain a second float buffer with the batch — work that is
+//   a pure function of one sorted batch moves off the drain thread (the
+//   quantile path merges its exact windows there, docs/ARCHITECTURE.md).
 // * A single drain thread consumes sorted batches strictly in submission
 //   order. Summaries therefore see exactly the window sequence serial
 //   execution produces: identical merges, identical epsilon guarantees,
@@ -23,11 +28,12 @@
 //
 // Steady-state operation is allocation-free: the submit queue and the
 // reorder buffer are fixed rings sized by the in-flight cap, per-worker
-// window-span scratch is reused across batches, and drained batch buffers
-// are recycled to the ingest side through AcquireBuffer(). After the first
-// few batches warm the rings up, the Submit -> sort -> drain loop performs
-// zero heap allocations (tests/alloc_test.cc holds this with a counting
-// operator new).
+// window-span scratch and per-slot stage output buffers are reused across
+// batches, and drained batch buffers are recycled to the ingest side through
+// AcquireBuffer() (the pool is stocked for the full in-flight cap on the
+// first Submit). After the first few batches warm the rings up, the
+// Submit -> sort -> drain loop performs zero heap allocations
+// (tests/alloc_test.cc holds this with a counting operator new).
 //
 // Wall-clock queue-wait per stage is recorded so benchmarks can report how
 // much overlap the pipeline actually achieved (PipelineWaitStats).
@@ -89,6 +95,18 @@ struct PipelineConfig {
   /// batch; returns a stall in microseconds to sleep (0 = none). Null (the
   /// default) disables the queue fault site.
   std::function<unsigned(int worker_index)> queue_stall_hook;
+
+  /// Optional worker stage (null = none, the default), called on the sort
+  /// worker right after SortRuns with the sorted batch and its quarantine
+  /// mask. It writes its result into `out` (handed over empty), which
+  /// reaches the DrainFn as `stage_output`; leaving `out` empty means "no
+  /// output for this batch". Each reorder slot owns one such buffer and
+  /// keeps its capacity, so a stage that only resizes it allocates nothing
+  /// once every slot has been used. It must not touch state the drain owns:
+  /// it runs concurrently with the drain and with the other workers.
+  std::function<void(std::span<const float> sorted_batch, std::uint64_t quarantine_mask,
+                     std::vector<float>* out)>
+      worker_stage;
 };
 
 /// Wall-clock overlap accounting, accumulated over the pipeline's lifetime.
@@ -110,6 +128,10 @@ struct PipelineWaitStats {
   /// Total wall-clock the workers spent inside SortRuns (summed across
   /// workers; exceeds elapsed time when sorts overlap).
   double sort_wall_seconds = 0;
+
+  /// Total wall-clock the workers spent inside the worker stage (summed
+  /// across workers; 0 without one).
+  double stage_wall_seconds = 0;
 
   /// Total wall-clock spent inside the drain callback.
   double drain_wall_seconds = 0;
@@ -139,10 +161,17 @@ class SortPipeline {
   ///
   /// `quarantine_mask` forwards the sorter's last_quarantine_mask(): bit i
   /// set means window i of the batch was unrecoverable and holds its
-  /// *unsorted* input — skip it and account the coverage loss. A non-OK
-  /// return poisons the pipeline: the drain thread stops, and every later
-  /// Submit()/WaitIdle() returns that Status.
+  /// *unsorted* input — skip it and account the coverage loss.
+  /// `stage_output` is what the worker stage wrote for this batch (empty
+  /// without a stage, or when it wrote nothing); like `data` it is on loan
+  /// for the call. A non-OK return poisons the pipeline: the drain thread
+  /// stops, and every later Submit()/WaitIdle() returns that Status.
   using DrainFn = std::function<core::Status(
+      std::vector<float>&& data, const sort::SortRunInfo& run, std::uint64_t quarantine_mask,
+      std::span<const float> stage_output)>;
+
+  /// The drain of a pipeline without a worker stage.
+  using BatchDrainFn = std::function<core::Status(
       std::vector<float>&& data, const sort::SortRunInfo& run, std::uint64_t quarantine_mask)>;
 
   /// One worker thread is spawned per sorter; `sorters` are borrowed and
@@ -150,6 +179,8 @@ class SortPipeline {
   /// pipeline (workers drive them concurrently, one worker per sorter).
   SortPipeline(const PipelineConfig& config, std::vector<sort::Sorter*> sorters,
                DrainFn drain);
+  SortPipeline(const PipelineConfig& config, std::vector<sort::Sorter*> sorters,
+               BatchDrainFn drain);
   ~SortPipeline();
 
   SortPipeline(const SortPipeline&) = delete;
@@ -205,6 +236,7 @@ class SortPipeline {
   obs::FlightRecorder* const flight_;
   const double drain_deadline_seconds_;
   const std::function<unsigned(int)> queue_stall_hook_;
+  const decltype(PipelineConfig::worker_stage) worker_stage_;
   int max_in_flight_ = 0;
 
   mutable std::mutex mu_;
@@ -236,6 +268,12 @@ class SortPipeline {
   // Storage of drained batches, recycled to the ingest thread (bounded by
   // the in-flight cap plus the one buffer the ingest thread is filling).
   std::vector<std::vector<float>> free_buffers_;
+
+  bool pool_primed_ = false;  // free_buffers_ stocked by the first Submit()
+
+  // Worker-stage output of batch seq lives in slot seq % max_in_flight_,
+  // like the reorder buffer (empty without a worker stage).
+  std::vector<std::vector<float>> stage_outputs_;
 
   // Per-worker window-span scratch for SortRuns (reused across batches).
   std::vector<std::vector<std::span<float>>> window_scratch_;

@@ -35,6 +35,7 @@
 #include "core/status.h"
 #include "gpu/device.h"
 #include "hwmodel/hardware_profiles.h"
+#include "sketch/gk_summary.h"
 #include "sort/cpu_sort.h"
 #include "sort/pbsn_gpu.h"
 #include "stream/generator.h"
@@ -139,6 +140,40 @@ TEST(AllocTest, SteadyStatePipelineLoopIsAllocationFree) {
   EXPECT_LE(after - before, 12u * 32u) << "per-window allocations in the estimator loop";
 }
 
+// The production quantile shape: epsilon 1e-3 with natural 1000-element
+// windows batches 32 windows, the workers merge each batch into one exact
+// run, and the drain inserts it as one node. What still allocates is the
+// node and the pruned top of the cascade — a few vectors per batch, where
+// window-by-window insertion allocates a summary per window plus every
+// merge along its carry chain.
+TEST(AllocTest, ProductionShapeQuantileRunPathAllocatesPerBatchNotPerWindow) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+
+  core::Options options;
+  options.epsilon = 1e-3;
+  options.backend = core::Backend::kCpuRadixMerge;
+  options.num_sort_workers = 2;
+  core::QuantileEstimator estimator(options);
+
+  constexpr std::size_t kBatchElements = 32 * 1000;
+  constexpr std::size_t kWarmup = 8;
+  constexpr std::size_t kMeasured = 16;
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 17});
+  const auto data = gen.Take(kBatchElements * (kWarmup + kMeasured));
+  const std::span<const float> all(data);
+
+  ASSERT_TRUE(estimator.ObserveBatch(all.first(kBatchElements * kWarmup)).ok());
+  (void)estimator.summary_size();  // every warm-up buffer is back in its pool
+
+  const std::uint64_t before = AllocCount();
+  ASSERT_TRUE(estimator.ObserveBatch(all.subspan(kBatchElements * kWarmup)).ok());
+  (void)estimator.summary_size();
+  const std::uint64_t after = AllocCount();
+
+  EXPECT_LE(after - before, 6u * kMeasured) << "allocations beyond the node and its carries";
+}
+
 // The pipeline in isolation (no summary structures): strictly zero
 // allocations per steady-state batch.
 TEST(AllocTest, SortPipelineAloneIsAllocationFree) {
@@ -197,6 +232,62 @@ TEST(AllocTest, SortPipelineAloneIsAllocationFree) {
 
   EXPECT_EQ(after - before, 0u) << "steady-state pipeline loop allocated";
   EXPECT_EQ(drained, kBatchElements * 28);
+}
+
+// Same strict-zero contract with a worker stage: each reorder slot owns one
+// stage output buffer, reused by every batch that passes through the slot.
+TEST(AllocTest, SortPipelineWithWorkerStageIsAllocationFree) {
+  if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
+
+  constexpr std::uint64_t kWindow = 1 << 10;
+  constexpr int kWindowsPerBatch = 4;
+  constexpr std::size_t kBatchElements = kWindow * kWindowsPerBatch;
+
+  sort::StdSortSorter sorter_a(hwmodel::kPentium4_3400);
+  sort::StdSortSorter sorter_b(hwmodel::kPentium4_3400);
+  std::uint64_t staged = 0;
+  stream::PipelineConfig config;
+  config.window_size = kWindow;
+  config.max_batches_in_flight = 4;
+  config.worker_stage = [](std::span<const float> sorted_batch, std::uint64_t,
+                           std::vector<float>* out) {
+    sketch::GkSummary::MergeWindowsInCascadeOrder(sorted_batch, kWindow, out);
+  };
+  stream::SortPipeline pipeline(
+      config, {&sorter_a, &sorter_b},
+      [&staged](std::vector<float>&&, const sort::SortRunInfo&, std::uint64_t,
+                std::span<const float> stage_output) {
+        staged += stage_output.size();
+        return streamgpu::core::Status::Ok();
+      });
+
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = 19});
+  stream::WindowBatcher batcher(kWindow, kWindowsPerBatch);
+  const auto stream_batches = [&](const std::vector<std::vector<float>>& batches) {
+    for (const auto& data : batches) {
+      for (float v : data) {
+        if (batcher.Push(v)) {
+          pipeline.Submit(batcher.TakeBuffer(pipeline.AcquireBuffer()));
+        }
+      }
+    }
+    pipeline.WaitIdle();
+  };
+
+  std::vector<std::vector<float>> warmup;
+  for (int b = 0; b < 12; ++b) warmup.push_back(gen.Take(kBatchElements));
+  stream_batches(warmup);
+  std::vector<std::vector<float>> prepared;
+  for (int b = 0; b < 16; ++b) prepared.push_back(gen.Take(kBatchElements));
+
+  const std::uint64_t before = AllocCount();
+  stream_batches(prepared);
+  const std::uint64_t after = AllocCount();
+
+  EXPECT_EQ(after - before, 0u) << "steady-state pipeline with a worker stage allocated";
+  EXPECT_EQ(staged, kBatchElements * 28);
+  EXPECT_GT(pipeline.stats().stage_wall_seconds, 0.0);
 }
 
 // Same strict-zero contract, with the simulated-GPU sorters: covers the

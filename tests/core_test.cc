@@ -11,6 +11,7 @@
 #include "core/frequency_estimator.h"
 #include "core/quantile_estimator.h"
 #include "core/stream_miner.h"
+#include "obs/metrics.h"
 #include "sketch/exact.h"
 #include "stream/generator.h"
 
@@ -193,6 +194,41 @@ TEST(QuantileEstimatorTest, CostsArePopulated) {
   EXPECT_GT(qe.costs().histogram_elements, 0u);
   EXPECT_GT(qe.SimulatedSeconds(), 0.0);
   EXPECT_GT(qe.summary_size(), 0u);
+}
+
+TEST(QuantileEstimatorTest, ExactRunWidthFollowsTheConfiguration) {
+  using sketch::QuantileSketchKind;
+  // Natural windows at epsilon 1e-3: 1000 exact elements, and 32 of them
+  // (32,000 tuples) fit the 35,000-tuple prune budget of the default length.
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 0, QuantileSketchKind::kGk), 32u);
+  EXPECT_EQ(ExactRunWindows(0.01, 100, 0, 0, QuantileSketchKind::kGk), 32u);
+  // A short expected stream (1,000 windows: 11 levels) shrinks the budget to
+  // 12,000 tuples, and the run to 8 windows.
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 1000 * 1000, QuantileSketchKind::kGk), 8u);
+  // Sampled windows, sliding mode and the other kinds take no runs.
+  EXPECT_EQ(ExactRunWindows(0.01, 1024, 0, 0, QuantileSketchKind::kGk), 0u);
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 100000, 0, QuantileSketchKind::kGk), 0u);
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 0, QuantileSketchKind::kKll), 0u);
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 0, QuantileSketchKind::kGkAdaptive), 0u);
+
+  // The estimator merges its full batches as runs and the rest per window.
+  obs::MetricsRegistry metrics;
+  Options opt;
+  opt.epsilon = 1e-3;
+  opt.backend = Backend::kCpuStdSort;
+  opt.obs.metrics = &metrics;
+  QuantileEstimator qe(opt);
+  stream::StreamGenerator gen({.distribution = stream::Distribution::kUniformReal, .seed = 4});
+  ASSERT_TRUE(qe.ObserveBatch(gen.Take(3 * 32000 + 500)).ok());
+  ASSERT_TRUE(qe.Flush().ok());
+  std::uint64_t run_windows = 0;
+  std::uint64_t windows = 0;
+  for (const auto& [name, value] : metrics.Snapshot().counters) {
+    if (name == "quant.merge.run_windows") run_windows = value;
+    if (name == "quant.merge.windows") windows = value;
+  }
+  EXPECT_EQ(run_windows, 96u);
+  EXPECT_EQ(windows, 97u);
 }
 
 TEST(StreamMinerTest, DrivesBothEstimators) {

@@ -443,6 +443,47 @@ TEST(QuantileRestore, BitIdenticalAcrossKindsAndWorkers) {
   ExpectQuantileBitIdentity(sketch::QuantileSketchKind::kKll, 3);
 }
 
+TEST(QuantileRestore, StagedElementsBeyondTheRestorersBatchAreSubmitted) {
+  // Sampled windows (epsilon 0.01, 1024 elements) keep the engine's batch
+  // width: 4 windows on the GPU backend, 1 on the CPU ones. A GPU writer's
+  // checkpoint can stage more than a whole batch of a CPU restorer, which
+  // submits the full batches among them.
+  const std::vector<float> stream = MakeStream(20000, 17);
+  const std::string dir = FreshDir("qe_wider_writer");
+  core::Options writer_opt = EstimatorOptions(dir, sketch::QuantileSketchKind::kGk, 1);
+  writer_opt.window_size = 1024;
+  writer_opt.backend = core::Backend::kGpuPbsn;
+  writer_opt.gpu_format = gpu::Format::kFloat32;
+  const std::size_t cut = 3 * 4 * 1024 + 3500;  // three batches, 3.4 windows staged
+  {
+    auto first = core::QuantileEstimator::Create(writer_opt);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE((*first)->ObserveBatch(std::span(stream).first(cut)).ok());
+    ASSERT_TRUE((*first)->Checkpoint().ok());
+  }
+
+  core::Options reader_opt = writer_opt;
+  reader_opt.backend = core::Backend::kCpuRadixMerge;
+  auto restored = core::QuantileEstimator::Restore(reader_opt);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  EXPECT_EQ((*restored)->observed_length(), cut);
+  EXPECT_EQ((*restored)->processed_length(), cut / 1024 * 1024);
+  ASSERT_TRUE((*restored)->ObserveBatch(std::span(stream).subspan(cut)).ok());
+  ASSERT_TRUE((*restored)->Flush().ok());
+
+  reader_opt.checkpoint_dir.clear();
+  auto ref = core::QuantileEstimator::Create(reader_opt);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_TRUE((*ref)->ObserveBatch(stream).ok());
+  ASSERT_TRUE((*ref)->Flush().ok());
+  EXPECT_EQ((*restored)->Quantile(0.5), (*ref)->Quantile(0.5));
+  const auto ref_bytes = (*ref)->SerializedSummary();
+  const auto restored_bytes = (*restored)->SerializedSummary();
+  ASSERT_TRUE(ref_bytes.ok());
+  ASSERT_TRUE(restored_bytes.ok());
+  EXPECT_EQ(*restored_bytes, *ref_bytes);
+}
+
 TEST(QuantileRestore, AutoCheckpointCadenceAndMidStreamKill) {
   const std::vector<float> stream = MakeStream(30000, 11);
   const std::string dir = FreshDir("qe_auto");

@@ -8,16 +8,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/stream_miner.h"
+#include "durable/checkpoint.h"
 #include "hwmodel/hardware_profiles.h"
 #include "obs/metrics.h"
 #include "sort/cpu_sort.h"
+#include "sort/resilient.h"
 #include "stream/generator.h"
 #include "stream/pipeline.h"
 #include "stream/window_buffer.h"
@@ -233,6 +237,237 @@ TEST(PipelineDeterminismTest, BackpressureCapStillDeterministic) {
   opt.max_windows_in_flight = 4;  // one batch in flight: fully serialized flow
   const Snapshot pipelined = RunMiner(opt, data);
   EXPECT_EQ(pipelined, serial);
+}
+
+// --- The exact-run path: GK+EH at epsilon 1e-3 with natural 1000-element
+// windows batches 32 windows, and the sort workers merge each batch into one
+// cascade-order run the drain inserts as one node. Every byte must equal
+// the per-window cascade's, in every mode, backend and fallback. ---
+
+constexpr double kRunEpsilon = 1e-3;
+constexpr std::size_t kRunBatch = 32 * 1000;
+
+std::vector<float> UniformStream(std::size_t n, unsigned seed) {
+  stream::StreamGenerator gen(
+      {.distribution = stream::Distribution::kUniformReal, .seed = seed});
+  return gen.Take(n);
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / ("pipeline_" + name);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+std::uint64_t CounterValue(const obs::MetricsSnapshot& snapshot, const std::string& name) {
+  for (const auto& [counter, value] : snapshot.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+// Everything durable or exported about a quantile estimator.
+struct RunPathOutcome {
+  std::vector<std::pair<durable::RecordType, std::vector<std::uint8_t>>> records;
+  std::uint64_t watermark = 0;
+  std::vector<std::uint8_t> summary;
+  std::vector<float> answers;
+  double sim_seconds = 0;
+  std::uint64_t windows_merged = 0;
+  std::uint64_t run_windows = 0;
+
+  // The counters record how the windows got in, not what they built.
+  bool SameState(const RunPathOutcome& o) const {
+    return records == o.records && watermark == o.watermark && summary == o.summary &&
+           answers == o.answers && sim_seconds == o.sim_seconds &&
+           windows_merged == o.windows_merged;
+  }
+};
+
+// Latest checkpoint of `dir`: every record, and the watermark.
+void ReadCheckpoint(const std::string& dir, RunPathOutcome* out) {
+  const auto snapshot = durable::LoadLatestSnapshot(dir);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+  out->records.clear();
+  for (const auto& record : snapshot->records) out->records.emplace_back(record.type, record.payload);
+  out->watermark = snapshot->watermark;
+}
+
+// Observes `data`, checkpoints with the partial final batch staged, then
+// flushes and exports.
+RunPathOutcome RunExactRunEstimator(Options opt, const std::vector<float>& data,
+                                    const std::string& name) {
+  RunPathOutcome out;
+  obs::MetricsRegistry metrics;
+  opt.obs.metrics = &metrics;
+  opt.checkpoint_dir = FreshDir(name);
+  auto created = QuantileEstimator::Create(opt);
+  EXPECT_TRUE(created.ok());
+  if (!created.ok()) return out;
+  QuantileEstimator& qe = **created;
+  EXPECT_TRUE(qe.ObserveBatch(data).ok());
+  EXPECT_TRUE(qe.Checkpoint().ok());
+  ReadCheckpoint(opt.checkpoint_dir, &out);
+  EXPECT_TRUE(qe.Flush().ok());
+  const auto summary = qe.SerializedSummary();
+  EXPECT_TRUE(summary.ok());
+  if (summary.ok()) out.summary = *summary;
+  for (double phi : {0.01, 0.5, 0.99, 1.0}) out.answers.push_back(qe.Quantile(phi).value);
+  out.sim_seconds = qe.SimulatedSeconds();
+  const obs::MetricsSnapshot counters = metrics.Snapshot();
+  out.windows_merged = CounterValue(counters, "quant.merge.windows");
+  out.run_windows = CounterValue(counters, "quant.merge.run_windows");
+  return out;
+}
+
+TEST(ExactRunPathTest, MatchesSerialAcrossWorkersAndBackends) {
+  // Five full batches, then a partial batch that ends mid-window.
+  const auto data = UniformStream(5 * kRunBatch + 12345, 21);
+  Options opt;
+  opt.epsilon = kRunEpsilon;
+  opt.gpu_format = gpu::Format::kFloat32;  // every backend sees the same values
+  RunPathOutcome reference;
+  for (Backend backend : {Backend::kCpuRadixMerge, Backend::kAuto, Backend::kGpuPbsn}) {
+    opt.backend = backend;
+    opt.num_sort_workers = 1;
+    const RunPathOutcome serial =
+        RunExactRunEstimator(opt, data, std::string("serial_") + BackendName(backend));
+    // The five full batches took the run path; the staged partial one did
+    // not, and Flush merged it window by window.
+    EXPECT_EQ(serial.run_windows, 5u * 32u) << BackendName(backend);
+    EXPECT_EQ(serial.windows_merged, 5u * 32u + 13u) << BackendName(backend);
+    ASSERT_EQ(serial.records.size(), 3u) << "header, state, staged partial batch";
+    EXPECT_EQ(serial.records[2].first, durable::RecordType::kWindowBuffer);
+    if (reference.records.empty()) reference = serial;
+    // Sort backends agree on the canonical order, so the summaries do too.
+    EXPECT_EQ(serial.records[1], reference.records[1]) << BackendName(backend);
+    EXPECT_EQ(serial.summary, reference.summary) << BackendName(backend);
+
+    for (int workers : {2, 4}) {
+      opt.num_sort_workers = workers;
+      const RunPathOutcome pipelined = RunExactRunEstimator(
+          opt, data, std::string("pipelined_") + BackendName(backend));
+      EXPECT_TRUE(pipelined.SameState(serial))
+          << BackendName(backend) << " workers=" << workers;
+      EXPECT_EQ(pipelined.run_windows, serial.run_windows)
+          << BackendName(backend) << " workers=" << workers;
+    }
+  }
+}
+
+// The serial estimator's own sort stack (its engine, a fault injector seeded
+// with stream 0, a resilient sorter without CPU fallback) feeding a summary
+// core window by window in `batch_windows`-window batches: the per-window
+// reference for a faulty serial run.
+std::vector<std::uint8_t> PerWindowReference(const Options& opt, const std::vector<float>& data,
+                                             std::size_t batch_windows) {
+  SortEngine engine(opt);
+  FaultInjector injector(opt.fault.plan, /*stream_id=*/0);
+  if (engine.device() != nullptr) engine.device()->set_fault_hook(&injector);
+  sort::ResilienceOptions resilience;
+  resilience.max_retries = opt.fault.max_retries;
+  resilience.max_device_losses = opt.fault.max_device_losses;
+  resilience.cpu_fallback = false;
+  sort::ResilientSorter sorter(&engine.sorter(), nullptr, engine.device(), &injector,
+                               obs::Observability{}, "quant.", resilience);
+  const std::size_t window = 1000;
+  QuantileSummaryCore core(opt.epsilon, window, 0, 0);
+  for (std::size_t off = 0; off < data.size(); off += window * batch_windows) {
+    std::vector<float> batch(data.begin() + static_cast<std::ptrdiff_t>(off),
+                             data.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                                data.size(), off + window * batch_windows)));
+    std::vector<std::span<float>> windows;
+    for (std::size_t w = 0; w < batch.size(); w += window) {
+      windows.emplace_back(batch.data() + w, std::min(window, batch.size() - w));
+    }
+    sorter.SortRuns(windows);
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      if ((sorter.last_quarantine_mask() >> i) & 1) {
+        core.QuarantineWindow(windows[i].size());
+      } else {
+        core.MergeSortedWindow(windows[i]);
+      }
+    }
+  }
+  std::vector<std::uint8_t> state;
+  EXPECT_TRUE(core.AppendCheckpointState(&state).ok());
+  return state;
+}
+
+TEST(ExactRunPathTest, QuarantineMisalignsTheCounterAndTheFallbackIsPerWindow) {
+  // One corrupted render pass in the third batch with no CPU fallback: its
+  // window is quarantined, the window counter falls out of step with the
+  // batches for good, and every later batch merges window by window.
+  const auto data = UniformStream(6 * kRunBatch + 4321, 22);
+  Options opt;
+  opt.epsilon = kRunEpsilon;
+  opt.backend = Backend::kGpuPbsn;
+  opt.gpu_format = gpu::Format::kFloat32;  // the reference sorts unquantized input
+  auto plan = FaultPlan::Parse("pass:bitflip:after=20000,max=1", 5);
+  ASSERT_TRUE(plan.ok());
+  opt.fault.plan = *plan;
+  opt.fault.max_retries = 0;
+  opt.fault.cpu_fallback = false;
+
+  const RunPathOutcome faulty = RunExactRunEstimator(opt, data, "quarantine");
+  const std::uint64_t quarantined = 6 * 32 + 5 - faulty.windows_merged;
+  ASSERT_GT(quarantined, 0u);
+  // The first two batches took runs; none did from the quarantined batch
+  // on, though three more full batches followed it.
+  EXPECT_EQ(faulty.run_windows, 2u * 32u);
+
+  // A checkpoint taken after Flush holds the final state.
+  opt.checkpoint_dir = FreshDir("quarantine_final");
+  auto again = QuantileEstimator::Create(opt);
+  ASSERT_TRUE(again.ok());
+  ASSERT_TRUE((*again)->ObserveBatch(data).ok());
+  ASSERT_TRUE((*again)->Flush().ok());
+  ASSERT_TRUE((*again)->Checkpoint().ok());
+  RunPathOutcome final_state;
+  ReadCheckpoint(opt.checkpoint_dir, &final_state);
+  ASSERT_EQ(final_state.records.size(), 2u);
+  EXPECT_EQ(final_state.records[1].second, PerWindowReference(opt, data, 32));
+}
+
+TEST(ExactRunPathTest, RestoreFromMidBatchCheckpointContinuesByteIdentically) {
+  const auto data = UniformStream(4 * kRunBatch + 999, 23);
+  Options opt;
+  opt.epsilon = kRunEpsilon;
+  opt.backend = Backend::kCpuRadixMerge;
+  opt.num_sort_workers = 4;
+  const RunPathOutcome uninterrupted = RunExactRunEstimator(opt, data, "uninterrupted");
+
+  // Cut two batches and a few windows in: the checkpoint stages a partial
+  // batch that ends mid-window.
+  const std::size_t cut = 2 * kRunBatch + 7777;
+  obs::MetricsRegistry metrics;
+  opt.obs.metrics = &metrics;
+  opt.checkpoint_dir = FreshDir("midbatch");
+  {
+    auto first = QuantileEstimator::Create(opt);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE((*first)->ObserveBatch(std::span(data).first(cut)).ok());
+    ASSERT_TRUE((*first)->Checkpoint().ok());
+  }
+  auto restored = QuantileEstimator::Restore(opt);
+  ASSERT_TRUE(restored.ok()) << restored.status().message();
+  ASSERT_EQ((*restored)->observed_length(), cut);
+  ASSERT_TRUE((*restored)->ObserveBatch(std::span(data).subspan(cut)).ok());
+  ASSERT_TRUE((*restored)->Checkpoint().ok());
+  RunPathOutcome resumed;
+  ReadCheckpoint(opt.checkpoint_dir, &resumed);
+  ASSERT_TRUE((*restored)->Flush().ok());
+  const auto summary = (*restored)->SerializedSummary();
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(resumed.records, uninterrupted.records);
+  EXPECT_EQ(resumed.watermark, uninterrupted.watermark);
+  EXPECT_EQ(*summary, uninterrupted.summary);
+  // Both estimators took runs: the first for its two full batches, the
+  // restored one (still aligned) for the staged batch it completed and the
+  // next.
+  EXPECT_EQ(CounterValue(metrics.Snapshot(), "quant.merge.run_windows"), 4u * 32u);
 }
 
 TEST(PipelineShutdownTest, DestructionFlushesInFlightBatchesCleanly) {

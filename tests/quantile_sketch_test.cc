@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <random>
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hwmodel/hardware_profiles.h"
 #include "sketch/exact.h"
 #include "sketch/exponential_histogram.h"
 #include "sketch/gk_summary.h"
@@ -21,6 +23,7 @@
 #include "sketch/quantile_sketch.h"
 #include "sketch/serialize.h"
 #include "sketch/wire.h"
+#include "sort/radix_sort.h"
 
 namespace streamgpu::sketch {
 namespace {
@@ -497,6 +500,147 @@ TEST(EhTest, CheckpointAndExportBytesArePinnedAtProductionShape) {
   ASSERT_TRUE(sketch->AppendWireSummary(&wire).ok());
   // Pinned before the one-sweep prune replaced the per-rank binary search:
   // maintenance speedups must not move a single byte.
+  EXPECT_EQ(state.size(), 700118u);
+  EXPECT_EQ(Fnv1a(state), 0x9805bbddbdeb3cbfull);
+  EXPECT_EQ(wire.size(), 700064u);
+  EXPECT_EQ(Fnv1a(wire), 0x00e5a71ef78b1841ull);
+}
+
+// --- Exact runs: 2^k exact windows merged in cascade order and inserted as
+// one node must leave every byte the per-window cascade leaves. ---
+
+std::vector<std::uint8_t> CheckpointBytes(const QuantileSketch& sketch) {
+  std::vector<std::uint8_t> bytes;
+  EXPECT_TRUE(sketch.AppendCheckpointState(&bytes).ok());
+  return bytes;
+}
+
+// `windows` production windows drawn by `draw`, each sorted by the
+// production radix sorter, concatenated in stream order.
+template <typename Draw>
+std::vector<float> SortedProductionWindows(std::size_t windows, unsigned seed, Draw draw) {
+  std::mt19937 rng(seed);
+  std::vector<float> out(windows * kProdWindow);
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = draw(rng, i);
+  sort::RadixMergeSorter sorter(hwmodel::kPentium4_3400);
+  for (std::size_t off = 0; off < out.size(); off += kProdWindow) {
+    sorter.Sort(std::span(out).subspan(off, kProdWindow));
+  }
+  return out;
+}
+
+std::vector<float> CascadeRun(std::span<const float> windows) {
+  std::vector<float> run;
+  GkSummary::MergeWindowsInCascadeOrder(windows, kProdWindow, &run);
+  return run;
+}
+
+TEST(EhTest, ExactRunLeavesThePerWindowCascadeState) {
+  const float inf = std::numeric_limits<float>::infinity();
+  using Draw = std::function<float(std::mt19937&, std::size_t)>;
+  std::vector<std::pair<const char*, Draw>> inputs = {
+      {"random",
+       [](std::mt19937& rng, std::size_t) {
+         return std::uniform_real_distribution<float>(-1e6f, 1e6f)(rng);
+       }},
+      {"duplicate-heavy",
+       [](std::mt19937& rng, std::size_t) { return static_cast<float>(rng() % 7u); }},
+      {"all-equal", [](std::mt19937&, std::size_t) { return 42.0f; }},
+      {"reverse-sorted",
+       [](std::mt19937&, std::size_t i) { return -static_cast<float>(i); }},
+      {"signed-zeros",
+       [](std::mt19937& rng, std::size_t) { return rng() % 2u == 0 ? 0.0f : -0.0f; }},
+      {"infinities",
+       [inf](std::mt19937& rng, std::size_t) {
+         const unsigned pick = rng() % 4u;
+         return pick == 0 ? inf : pick == 1 ? -inf : static_cast<float>(rng() % 100u);
+       }},
+  };
+#ifdef NDEBUG
+  // NaN compares false both ways, so GkSummary::FromSorted's Debug-only
+  // ascending check rejects the per-window reference itself.
+  inputs.push_back({"nan-bearing", [](std::mt19937& rng, std::size_t) {
+                      return rng() % 5u == 0 ? std::numeric_limits<float>::quiet_NaN()
+                                             : static_cast<float>(rng() % 50u);
+                    }});
+#endif
+  for (const auto& [name, draw] : inputs) {
+    for (int k = 1; k <= 5; ++k) {
+      SCOPED_TRACE(testing::Message() << name << " windows=" << (1 << k));
+      const std::size_t windows = std::size_t{1} << k;
+      auto per_window = ProductionGkSketch();
+      auto by_run = ProductionGkSketch();
+      // Three blocks each, so the later runs land on occupied buckets and
+      // carry on up the cascade (at k = 5 into the pruned levels).
+      for (unsigned block = 0; block < 3; ++block) {
+        const std::vector<float> sorted =
+            SortedProductionWindows(windows, 100 * k + block, draw);
+        for (std::size_t off = 0; off < sorted.size(); off += kProdWindow) {
+          per_window->AddSortedWindow(std::span(sorted).subspan(off, kProdWindow));
+        }
+        ASSERT_TRUE(by_run->AddExactRun(CascadeRun(sorted), windows));
+        ASSERT_EQ(CheckpointBytes(*by_run), CheckpointBytes(*per_window));
+        EXPECT_EQ(by_run->merged_tuples(), per_window->merged_tuples());
+        EXPECT_EQ(by_run->pruned_tuples(), per_window->pruned_tuples());
+      }
+    }
+  }
+}
+
+TEST(EhTest, ExactRunIsRefusedUnlessTheCascadeWouldBuildIt) {
+  const auto draw = [](std::mt19937& rng, std::size_t) {
+    return static_cast<float>(rng() % 1000u);
+  };
+  auto sketch = ProductionGkSketch();
+  const std::vector<float> one = SortedProductionWindows(1, 1, draw);
+  sketch->AddSortedWindow(one);
+  const std::vector<std::uint8_t> before = CheckpointBytes(*sketch);
+
+  // Misaligned: bucket 1 holds a window, so two windows do not build a node.
+  const std::vector<float> two = SortedProductionWindows(2, 2, draw);
+  EXPECT_FALSE(sketch->AddExactRun(CascadeRun(two), 2));
+  // 64 windows exceed the prune budget (64,000 > 35,001 tuples).
+  auto fresh = ProductionGkSketch();
+  const std::vector<float> many = SortedProductionWindows(64, 3, draw);
+  EXPECT_FALSE(fresh->AddExactRun(CascadeRun(many), 64));
+  EXPECT_EQ(fresh->count(), 0u);
+  // Not a power of two, a single window, or a run of the wrong length.
+  const std::vector<float> three = SortedProductionWindows(3, 4, draw);
+  EXPECT_FALSE(fresh->AddExactRun(three, 3));
+  EXPECT_FALSE(fresh->AddExactRun(one, 1));
+  EXPECT_FALSE(fresh->AddExactRun(std::span(two).first(1999), 2));
+  EXPECT_EQ(fresh->count(), 0u);
+  EXPECT_EQ(CheckpointBytes(*sketch), before);
+
+  // Sampled windows (rank step > 1) never take runs.
+  auto sampled = QuantileSketch::Create(QuantileSketchKind::kGk, 0.01, 1024, 1024 << 20);
+  ASSERT_TRUE(sampled.ok());
+  EXPECT_EQ(LosslessBlockWindows(0.01, 1024, 1024 << 20), 0u);
+  std::vector<float> sorted_pair(2048);
+  for (std::size_t i = 0; i < sorted_pair.size(); ++i) sorted_pair[i] = static_cast<float>(i % 1024);
+  EXPECT_FALSE((*sampled)->AddExactRun(sorted_pair, 2));
+  EXPECT_EQ(LosslessBlockWindows(kProdEpsilon, kProdWindow, kProdExpected), 32u);
+}
+
+TEST(EhTest, ExactRunPathReproducesThePinnedBytes) {
+  // The windows of CheckpointAndExportBytesArePinnedAtProductionShape, fed
+  // as sixteen 32-window runs, must land on the same pins.
+  std::mt19937 rng(2005);
+  std::vector<float> block(32 * kProdWindow);
+  auto sketch = ProductionGkSketch();
+  for (int run = 0; run < 16; ++run) {
+    for (std::size_t off = 0; off < block.size(); off += kProdWindow) {
+      const auto window = std::span(block).subspan(off, kProdWindow);
+      for (float& v : window) v = static_cast<float>(rng() % 100000u);
+      std::sort(window.begin(), window.end());
+    }
+    ASSERT_TRUE(sketch->AddExactRun(CascadeRun(block), 32));
+  }
+  ASSERT_EQ(sketch->summary_size(), 35001u);
+  std::vector<std::uint8_t> state;
+  ASSERT_TRUE(sketch->AppendCheckpointState(&state).ok());
+  std::vector<std::uint8_t> wire;
+  ASSERT_TRUE(sketch->AppendWireSummary(&wire).ok());
   EXPECT_EQ(state.size(), 700118u);
   EXPECT_EQ(Fnv1a(state), 0x9805bbddbdeb3cbfull);
   EXPECT_EQ(wire.size(), 700064u);
