@@ -18,7 +18,8 @@
 namespace streamgpu::stream {
 
 /// Accumulates stream elements into fixed-size windows and releases them in
-/// batches of up to `batch_windows` (4 for the GPU path, 1 for CPU paths).
+/// batches of up to `batch_windows` (4 for the GPU path, 1 for CPU paths,
+/// the exact-run width on the GK quantile path, docs/ARCHITECTURE.md).
 class WindowBatcher {
  public:
   /// `lazy_reserve` defers the batch-capacity reservation to the first
