@@ -199,9 +199,11 @@ void BM_EhCascade(benchmark::State& state) {
 BENCHMARK(BM_EhCascade)->Arg(1024)->Unit(benchmark::kMillisecond);
 
 // The worker stage of the exact-run path: range(0) sorted 1000-element
-// windows of uniform floats merged in cascade order into one float run, the
-// work it takes off the drain (the cascade's unpruned levels 2..6 at the
-// production shape).
+// windows of uniform floats merged in cascade order into one float run and
+// sampled at the production prune's ranks (35,000-tuple budget), the work it
+// takes off the drain. /32 is the cascade's unpruned levels 2..6, which
+// sampling leaves whole; /64, the production batch, adds level 7's merge
+// and its prune.
 void BM_ExactRunMerge(benchmark::State& state) {
   constexpr std::size_t kWindow = 1000;
   const auto windows = static_cast<std::size_t>(state.range(0));
@@ -212,12 +214,13 @@ void BM_ExactRunMerge(benchmark::State& state) {
   std::vector<float> run;
   for (auto _ : state) {
     sketch::GkSummary::MergeWindowsInCascadeOrder(data, kWindow, &run);
+    sketch::GkSummary::PruneExactRun(35000, &run);
     benchmark::DoNotOptimize(run.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * data.size());
 }
-BENCHMARK(BM_ExactRunMerge)->Arg(32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ExactRunMerge)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -40,16 +40,18 @@ std::uint64_t NaturalWindow(const Options& options) {
                                options.sliding_window);
 }
 
-/// The exact-run width L (ExactRunWindows) when batches of L windows can
-/// carry runs, i.e. L is at least the engine's own batch width; 0 otherwise,
-/// and batches keep the engine's width. Nothing here depends on the worker
-/// count or the in-flight cap, so a serial estimator and its pipelined twin
-/// batch alike and their cost records stay bit-identical.
-std::uint64_t RunWindows(const Options& options, int engine_batch_windows) {
+/// The exact-run width (ExactRunWindows) when batches that wide can carry
+/// runs, i.e. it is at least the engine's own batch width; 0 otherwise, and
+/// batches keep the engine's width. Stores the runs' prune budget in
+/// `prune_tuples`. Nothing here depends on the worker count or the in-flight
+/// cap, so a serial estimator and its pipelined twin batch alike and their
+/// cost records stay bit-identical.
+std::uint64_t RunWindows(const Options& options, int engine_batch_windows,
+                         std::size_t* prune_tuples) {
   const std::uint64_t run = ExactRunWindows(options.epsilon, NaturalWindow(options),
                                             options.sliding_window,
                                             options.expected_stream_length,
-                                            options.quantile_sketch);
+                                            options.quantile_sketch, prune_tuples);
   return run >= static_cast<std::uint64_t>(engine_batch_windows) ? run : 0;
 }
 
@@ -68,7 +70,7 @@ QuantileEstimator::QuantileEstimator(const Options& options)
       engine_(options),
       // engine_ and run_windows_ are declared (and therefore initialized)
       // before batcher_.
-      run_windows_(RunWindows(options, engine_.batch_windows())),
+      run_windows_(RunWindows(options, engine_.batch_windows(), &run_prune_tuples_)),
       batcher_(NaturalWindow(options),
                run_windows_ != 0 ? static_cast<int>(run_windows_) : engine_.batch_windows()),
       core_(options.epsilon, batcher_.window_size(), options.sliding_window,
@@ -327,6 +329,7 @@ void QuantileEstimator::BuildExactRun(std::span<const float> sorted_batch,
     return;
   }
   sketch::GkSummary::MergeWindowsInCascadeOrder(sorted_batch, batcher_.window_size(), out);
+  sketch::GkSummary::PruneExactRun(run_prune_tuples_, out);
 }
 
 std::size_t QuantileEstimator::MergeSortedBatch(std::span<const float> data,
@@ -334,6 +337,7 @@ std::size_t QuantileEstimator::MergeSortedBatch(std::span<const float> data,
                                                 std::span<const float> exact_run) {
   const std::uint64_t window_size = batcher_.window_size();
   if (!exact_run.empty()) {
+    const std::uint64_t run_elements = run_windows_ * window_size;
     const std::uint64_t seq = window_seq_;
     const bool traced = obs_.trace != nullptr && obs_.trace->Sampled(seq);
     const double t0 = traced ? obs_.trace->NowMicros() : 0;
@@ -344,7 +348,7 @@ std::size_t QuantileEstimator::MergeSortedBatch(std::span<const float> data,
         // Per-window counters and histograms advance exactly as the
         // per-window path advances them; the latency is the node insert's.
         obs_.metrics->Add(ids_.windows_merged, run_windows_);
-        obs_.metrics->Add(ids_.elements_merged, exact_run.size());
+        obs_.metrics->Add(ids_.elements_merged, run_elements);
         for (std::uint64_t i = 0; i < run_windows_; ++i) {
           obs_.metrics->Record(ids_.window_elements, static_cast<double>(window_size));
         }
@@ -355,9 +359,9 @@ std::size_t QuantileEstimator::MergeSortedBatch(std::span<const float> data,
         obs_.trace->AddSpan("run_merge", "merge", t0, obs_.trace->NowMicros() - t0,
                             {{"window", static_cast<double>(seq)},
                              {"windows", static_cast<double>(run_windows_)},
-                             {"elements", static_cast<double>(exact_run.size())}});
+                             {"elements", static_cast<double>(run_elements)}});
       }
-      return exact_run.size();
+      return run_elements;
     }
     // A misaligned window counter stays misaligned: stop building runs.
     runs_refused_.store(true);

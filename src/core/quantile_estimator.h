@@ -178,8 +178,9 @@ class QuantileEstimator {
 
   /// The worker stage of the exact-run path: merges a batch of exactly
   /// run_windows_ full, unquarantined windows in cascade order into `out`
-  /// (sketch::GkSummary::MergeWindowsInCascadeOrder); leaves `out` empty for
-  /// any other batch. Reads nothing the drain writes except the
+  /// (sketch::GkSummary::MergeWindowsInCascadeOrder) and, when the batch's
+  /// node prunes, samples it at the prune's ranks (PruneExactRun); leaves
+  /// `out` empty for any other batch. Reads nothing the drain writes except the
   /// runs_refused_ latch, so sort workers call it concurrently.
   void BuildExactRun(std::span<const float> sorted_batch, std::uint64_t quarantine_mask,
                      std::vector<float>* out) const;
@@ -209,6 +210,9 @@ class QuantileEstimator {
   Options options_;
   obs::Observability obs_;
   SortEngine engine_;
+  /// The prune budget PruneExactRun samples runs to; declared before
+  /// run_windows_, whose initializer sets it.
+  std::size_t run_prune_tuples_ = 0;
   /// Windows per exact run, which is then also the batch width (see
   /// docs/ARCHITECTURE.md, "Batch width"); 0 when this configuration has no
   /// exact-run path.

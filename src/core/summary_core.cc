@@ -46,10 +46,13 @@ std::uint64_t ExpectedLength(std::uint64_t expected_stream_length,
 std::uint64_t ExactRunWindows(double epsilon, std::uint64_t window_size,
                               std::uint64_t sliding_window,
                               std::uint64_t expected_stream_length,
-                              sketch::QuantileSketchKind kind) {
+                              sketch::QuantileSketchKind kind, std::size_t* prune_tuples) {
   if (sliding_window != 0 || kind != sketch::QuantileSketchKind::kGk) return 0;
-  return sketch::LosslessBlockWindows(
-      epsilon, window_size, ExpectedLength(expected_stream_length, window_size));
+  const std::uint64_t expected = ExpectedLength(expected_stream_length, window_size);
+  if (prune_tuples != nullptr) {
+    *prune_tuples = sketch::EhQuantileSummary::PruneTuples(epsilon, window_size, expected);
+  }
+  return sketch::ExactRunBatchWindows(epsilon, window_size, expected);
 }
 
 QuantileSummaryCore::QuantileSummaryCore(double epsilon,
@@ -100,8 +103,9 @@ std::size_t QuantileSummaryCore::MergeSortedWindow(std::span<const float> window
 bool QuantileSummaryCore::MergeExactRun(std::span<const float> run,
                                         std::uint64_t windows) {
   if (whole_ == nullptr || !whole_->AddExactRun(run, windows)) return false;
-  histogram_elements_ += run.size();
-  processed_ += run.size();
+  // A sampled run stands for all of its windows' elements.
+  histogram_elements_ += windows * window_size_;
+  processed_ += windows * window_size_;
   return true;
 }
 

@@ -43,13 +43,16 @@ std::uint64_t NaturalFrequencyWindow(double epsilon, std::uint64_t window_size,
                                      std::uint64_t sliding_window);
 
 /// The exact-run batch width of a quantile stream: sketch::
-/// LosslessBlockWindows at the core's resolved expected length for a
+/// ExactRunBatchWindows at the core's resolved expected length for a
 /// whole-history GK+EH stream, 0 for every other configuration (sliding
-/// mode, the other sketch kinds, or windows FromSorted samples).
+/// mode, the other sketch kinds, or windows FromSorted samples). When it is
+/// not 0 and `prune_tuples` is given, stores the sketch's prune budget
+/// there: what a run's sampling (sketch::GkSummary::PruneExactRun) keeps.
 std::uint64_t ExactRunWindows(double epsilon, std::uint64_t window_size,
                               std::uint64_t sliding_window,
                               std::uint64_t expected_stream_length,
-                              sketch::QuantileSketchKind kind);
+                              sketch::QuantileSketchKind kind,
+                              std::size_t* prune_tuples = nullptr);
 
 /// Whole-history / sliding-window quantile summary with quarantine and
 /// load-shed accounting. One instance per stream; merges take sorted
@@ -73,9 +76,10 @@ class QuantileSummaryCore {
   std::size_t MergeSortedWindow(std::span<const float> window);
 
   /// Folds `windows` consecutive full windows given as one cascade-order
-  /// run (sketch::QuantileSketch::AddExactRun). Returns false, changing
-  /// nothing, when the backend refuses the run; the caller then merges the
-  /// windows one by one, which yields the same state.
+  /// run, sampled when the node prunes (sketch::QuantileSketch::
+  /// AddExactRun), and counts all windows * window_size of their elements.
+  /// Returns false, changing nothing, when the backend refuses the run; the
+  /// caller then merges the windows one by one, which yields the same state.
   bool MergeExactRun(std::span<const float> run, std::uint64_t windows);
 
   /// Accounts one unrecoverable window: not merged, not counted as

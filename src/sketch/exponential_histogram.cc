@@ -15,18 +15,26 @@ EhQuantileSummary::EhQuantileSummary(double epsilon, std::uint64_t window_size,
     : epsilon_(epsilon), window_size_(window_size) {
   STREAMGPU_CHECK(epsilon > 0.0 && epsilon < 1.0);
   STREAMGPU_CHECK(window_size >= 1);
+  levels_ = Levels(window_size, expected_length);
+  prune_tuples_ = PruneTuples(epsilon, window_size, expected_length);
+  buckets_.resize(static_cast<std::size_t>(levels_) + 8);
+}
+
+int EhQuantileSummary::Levels(std::uint64_t window_size, std::uint64_t expected_length) {
   const std::uint64_t expected_windows =
       std::max<std::uint64_t>(1, (expected_length + window_size - 1) / window_size);
   // Combining pairs of equal-id buckets means ids grow like log2 of the
   // number of windows; one extra level absorbs rounding.
-  levels_ = static_cast<int>(
-                std::ceil(std::log2(static_cast<double>(expected_windows) + 1.0))) +
-            1;
+  return static_cast<int>(std::ceil(std::log2(static_cast<double>(expected_windows) + 1.0))) +
+         1;
+}
+
+std::size_t EhQuantileSummary::PruneTuples(double epsilon, std::uint64_t window_size,
+                                           std::uint64_t expected_length) {
   // Each combine's prune may add at most the per-level budget increment
   // eps/(2*(levels+1)), i.e. 1/(2*prune_tuples) <= eps/(2*(levels+1)).
-  prune_tuples_ = static_cast<std::size_t>(
-      std::ceil(static_cast<double>(levels_ + 1) / epsilon_));
-  buckets_.resize(static_cast<std::size_t>(levels_) + 8);
+  return static_cast<std::size_t>(
+      std::ceil(static_cast<double>(Levels(window_size, expected_length) + 1) / epsilon));
 }
 
 bool EhQuantileSummary::FromParts(double epsilon, std::uint64_t window_size,
@@ -75,24 +83,22 @@ void EhQuantileSummary::AddWindowSummary(GkSummary window_summary) {
 
 bool EhQuantileSummary::AddExactRun(std::span<const float> run, std::uint64_t windows) {
   if (windows < 2 || !std::has_single_bit(windows)) return false;
-  if (run.size() % windows != 0 || run.size() / windows != window_size_ ||
-      run.size() > prune_tuples_ + 1) {
-    return false;
-  }
+  // Both halves must reach the node unpruned, so that the node's own combine
+  // is the only prune below it.
+  if (windows / 2 * window_size_ > prune_tuples_ + 1) return false;
   const std::size_t id = static_cast<std::size_t>(std::countr_zero(windows)) + 1;
   for (std::size_t low = 1; low < id; ++low) {
     if (!buckets_[low - 1].empty()) return false;
   }
-  std::vector<GkTuple> tuples(run.size());
-  for (std::size_t i = 0; i < run.size(); ++i) tuples[i] = {run[i], i + 1, i + 1};
+  const std::uint64_t elements = windows * window_size_;
   GkSummary node;
-  if (!GkSummary::FromParts(std::move(tuples), run.size(), 0.0, &node)) return false;
+  if (!GkSummary::FromExactRun(run, elements, prune_tuples_, &node)) return false;
 
   // The id-1 levels below the node each merged (and passed through the
-  // prune check) every one of its tuples once.
-  merged_tuples_ += run.size() * (id - 1);
-  pruned_tuples_ += run.size() * (id - 1);
-  count_ += run.size();
+  // prune check) every one of its elements' tuples once.
+  merged_tuples_ += elements * (id - 1);
+  pruned_tuples_ += elements * (id - 1);
+  count_ += elements;
   flattened_.reset();
   Carry(std::move(node), id);
   return true;
@@ -145,11 +151,17 @@ std::size_t EhQuantileSummary::TotalTuples() const {
   return total;
 }
 
+std::uint64_t ExactRunBatchWindows(double epsilon, std::uint64_t window_size,
+                                   std::uint64_t expected_length) {
+  const std::uint64_t lossless = LosslessBlockWindows(epsilon, window_size, expected_length);
+  return lossless <= 32 ? 2 * lossless : lossless;
+}
+
 std::uint64_t LosslessBlockWindows(double epsilon, std::uint64_t window_size,
                                    std::uint64_t expected_length) {
   if (static_cast<std::uint64_t>(epsilon * static_cast<double>(window_size)) > 1) return 0;
   const std::size_t budget =
-      EhQuantileSummary(epsilon, window_size, expected_length).prune_tuples() + 1;
+      EhQuantileSummary::PruneTuples(epsilon, window_size, expected_length) + 1;
   std::uint64_t windows = 64;
   while (windows >= 2 && windows * window_size > budget) windows /= 2;
   return windows >= 2 ? windows : 0;

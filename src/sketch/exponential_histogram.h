@@ -38,18 +38,20 @@ class EhQuantileSummary {
   /// summary (e.g. GkSummary::FromSorted(sorted_window, epsilon/2)).
   void AddWindowSummary(GkSummary window_summary);
 
-  /// Inserts `windows` exact windows at once: `run` is their merge in
-  /// cascade order (GkSummary::MergeWindowsInCascadeOrder), which becomes
-  /// the node at bucket id log2(windows)+1 with rmin = rmax = position and
-  /// epsilon 0 — the node the cascade builds from exact window summaries
-  /// (every element kept, e.g. FromSorted at rank step 1) when none of its
-  /// merges prunes. The combine cascade then continues from that id. Applies
-  /// only when `windows` is a power of two >= 2, `run` holds windows *
-  /// window_size elements and no more than prune_tuples() + 1, and buckets
-  /// 1..log2(windows) are vacant — exactly when feeding the same windows
-  /// one by one builds this node. Otherwise returns false and leaves the
-  /// state untouched. Merge/prune tuple counters advance as the per-window
-  /// cascade advances them.
+  /// Inserts `windows` exact windows at once, as the node the cascade
+  /// builds from them at bucket id log2(windows)+1, and continues the
+  /// combine cascade from that id. `run` is their merge in cascade order
+  /// (GkSummary::MergeWindowsInCascadeOrder); when the node's own combine
+  /// prunes (windows * window_size > prune_tuples() + 1) it is that run
+  /// sampled by GkSummary::PruneExactRun(prune_tuples()). The windows must be
+  /// exact window summaries (every element kept, e.g. FromSorted at rank
+  /// step 1). Applies only when `windows` is a power of two >= 2 whose
+  /// halves stay unpruned (at most one prune below the node), `run` has the
+  /// node's size (GkSummary::FromExactRun), and buckets 1..log2(windows) are
+  /// vacant — exactly when feeding the same windows one by one builds this
+  /// node. Otherwise returns false and leaves the state untouched.
+  /// Merge/prune tuple counters advance as the per-window cascade advances
+  /// them.
   bool AddExactRun(std::span<const float> run, std::uint64_t windows);
 
   /// Reconstructs a summary from checkpointed parts (the durability restore
@@ -92,6 +94,10 @@ class EhQuantileSummary {
   /// Tuple budget used by each combine's prune step.
   std::size_t prune_tuples() const { return prune_tuples_; }
 
+  /// prune_tuples() of a summary constructed with these arguments.
+  static std::size_t PruneTuples(double epsilon, std::uint64_t window_size,
+                                 std::uint64_t expected_length);
+
   /// The bucket summaries (index i holds bucket id i+1; empty() = vacant),
   /// the full state the checkpoint serializes.
   const std::vector<GkSummary>& buckets() const { return buckets_; }
@@ -105,6 +111,9 @@ class EhQuantileSummary {
   std::uint64_t pruned_tuples() const { return pruned_tuples_; }
 
  private:
+  /// levels() of a summary constructed with these arguments.
+  static int Levels(std::uint64_t window_size, std::uint64_t expected_length);
+
   /// The combine cascade: folds `carry` into bucket `id` and upward.
   void Carry(GkSummary carry, std::size_t id);
 
@@ -121,7 +130,15 @@ class EhQuantileSummary {
   mutable std::optional<GkSummary> flattened_;  ///< Flattened() cache; reset per mutation
 };
 
-/// The batch width at which GK+EH maintenance can take exact runs: the
+/// The batch width of the exact-run path: 2 * LosslessBlockWindows when that
+/// is at most 32, so the batch's node is pruned exactly once (its halves are
+/// lossless) and travels as a PruneExactRun sample, else
+/// LosslessBlockWindows itself (64 lossless windows, or 0). Never above 64,
+/// the width of a batch's quarantine mask.
+std::uint64_t ExactRunBatchWindows(double epsilon, std::uint64_t window_size,
+                                   std::uint64_t expected_length);
+
+/// The largest block of windows GK+EH maintenance can take losslessly: the
 /// largest power of two L <= 64 with L * window_size <= prune_tuples() + 1,
 /// so the cascade node of L windows is never pruned. Requires that the
 /// windows are exact — floor(epsilon * window_size) <= 1, so FromSorted at

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "common/float_order.h"
 
 namespace streamgpu::sketch {
 
@@ -44,6 +45,56 @@ void MergeRuns(const float* a, const float* b, std::size_t len, float* out) {
   std::copy(b + j, b + len, out);
 }
 
+/// Prune(max_tuples)'s i-th target rank over `count` elements.
+std::uint64_t PruneRank(std::size_t i, std::uint64_t count, std::size_t max_tuples) {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::llround(static_cast<double>(i) *
+                                                 static_cast<double>(count) /
+                                                 static_cast<double>(max_tuples))));
+}
+
+/// Prune(max_tuples)'s epsilon for a summary of `epsilon`.
+double PrunedEpsilon(double epsilon, std::size_t max_tuples) {
+  return epsilon + 1.0 / (2.0 * static_cast<double>(max_tuples));
+}
+
+/// Calls keep(tuple) for every tuple Prune(max_tuples) keeps of an exact
+/// node of `count` elements, in order. On exact tuples each target rank r
+/// lands on the tuple at position r, (value_at(r), r, r); value_at is asked
+/// once per distinct rank, in ascending order. Prune skips a target whose
+/// tuple equals the last one kept (GkTuple ==), which here is a repeated
+/// rank (r_0 = r_1 = 1 when count / max_tuples < 1.5) whose value is not a
+/// NaN: a NaN tuple is kept twice.
+template <typename ValueAt, typename Keep>
+void ForEachExactPruneTuple(std::uint64_t count, std::size_t max_tuples, ValueAt value_at,
+                            Keep keep) {
+  GkTuple last{0.0f, 0, 0};
+  for (std::size_t i = 0; i <= max_tuples; ++i) {
+    const std::uint64_t rank = PruneRank(i, count, max_tuples);
+    const GkTuple t{rank == last.rmin ? last.value : value_at(rank), rank, rank};
+    if (!(t == last)) keep(t);
+    last = t;
+  }
+}
+
+/// Equal counts, epsilons and tuples, values compared by bit pattern (NaN
+/// included).
+[[maybe_unused]] bool SameBits(const GkSummary& a, const GkSummary& b) {
+  if (a.count() != b.count() || a.size() != b.size() ||
+      std::bit_cast<std::uint64_t>(a.epsilon()) != std::bit_cast<std::uint64_t>(b.epsilon())) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const GkTuple& x = a.tuples()[i];
+    const GkTuple& y = b.tuples()[i];
+    if (std::bit_cast<std::uint32_t>(x.value) != std::bit_cast<std::uint32_t>(y.value) ||
+        x.rmin != y.rmin || x.rmax != y.rmax) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Debug cross-check of MergeWindowsInCascadeOrder: builds the cascade node
 /// the GK path builds from the same windows (whole-window FromSorted
 /// summaries, merged later-first in the same tree) and compares it with the
@@ -63,15 +114,21 @@ void MergeRuns(const float* a, const float* b, std::size_t len, float* out) {
     }
     level = std::move(next);
   }
-  const std::vector<GkTuple>& node = level.front().tuples();
-  if (node.size() != run.size()) return false;
-  for (std::size_t i = 0; i < node.size(); ++i) {
-    if (std::bit_cast<std::uint32_t>(node[i].value) != std::bit_cast<std::uint32_t>(run[i]) ||
-        node[i].rmin != i + 1 || node[i].rmax != i + 1) {
-      return false;
-    }
-  }
-  return true;
+  GkSummary node;
+  return GkSummary::FromExactRun(run, run.size(), run.size(), &node) &&
+         SameBits(node, level.front());
+}
+
+/// Debug cross-check of PruneExactRun: Prune of the exact node of
+/// `exact_run` against the node FromExactRun rebuilds from `sample`.
+[[maybe_unused]] bool MatchesPrunedNode(std::span<const float> sample,
+                                        std::span<const float> exact_run,
+                                        std::size_t max_tuples) {
+  GkSummary exact;
+  GkSummary rebuilt;
+  return GkSummary::FromExactRun(exact_run, exact_run.size(), exact_run.size(), &exact) &&
+         GkSummary::FromExactRun(sample, exact_run.size(), max_tuples, &rebuilt) &&
+         SameBits(exact.Prune(max_tuples), rebuilt);
 }
 
 }  // namespace
@@ -87,7 +144,11 @@ GkSummary GkSummary::FromSorted(std::span<const float> sorted_window,
   const auto step = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(2.0 * target_epsilon * static_cast<double>(w)));
   for (std::uint64_t r = 0; r < w; r += step) {
-    STREAMGPU_DCHECK(r == 0 || sorted_window[r - 1] <= sorted_window[r]);
+    // Ascending by operator<= (which ties -0 and +0, as std::sort does) or
+    // by the sorters' canonical order, which also places NaNs, where
+    // operator<= is false.
+    STREAMGPU_DCHECK(r == 0 || sorted_window[r - 1] <= sorted_window[r] ||
+                     OrderedKey(sorted_window[r - 1]) <= OrderedKey(sorted_window[r]));
     out.tuples_.push_back({sorted_window[r], r + 1, r + 1});
   }
   if (out.tuples_.back().rmin != w) out.tuples_.push_back({sorted_window[w - 1], w, w});
@@ -194,23 +255,71 @@ void GkSummary::MergeWindowsInCascadeOrder(std::span<const float> windows,
   STREAMGPU_DCHECK(MatchesCascadeNode(*out, windows, window_size));
 }
 
+void GkSummary::PruneExactRun(std::size_t max_tuples, std::vector<float>* run) {
+  STREAMGPU_CHECK(max_tuples >= 1);
+  if (run->size() <= max_tuples + 1) return;
+#ifndef NDEBUG
+  const std::vector<float> exact_run = *run;
+#endif
+  // Only r_0 and r_1 can repeat, so the k-th kept tuple sits at position
+  // rank - 1 >= k - 1. Its value is written only once the (k+1)-th has been
+  // read, from position >= k: the forward copy never overwrites a value it
+  // still has to read.
+  std::size_t kept = 0;
+  float pending = 0.0f;
+  ForEachExactPruneTuple(
+      run->size(), max_tuples, [run](std::uint64_t rank) { return (*run)[rank - 1]; },
+      [run, &kept, &pending](const GkTuple& t) {
+        if (kept > 0) (*run)[kept - 1] = pending;
+        pending = t.value;
+        ++kept;
+      });
+  (*run)[kept - 1] = pending;
+  run->resize(kept);
+  STREAMGPU_DCHECK(MatchesPrunedNode(*run, exact_run, max_tuples));
+}
+
+bool GkSummary::FromExactRun(std::span<const float> run, std::uint64_t count,
+                             std::size_t max_tuples, GkSummary* out) {
+  if (max_tuples < 1) return false;
+  std::vector<GkTuple> tuples;
+  double epsilon = 0.0;
+  if (count <= max_tuples + 1) {
+    if (run.size() != count) return false;
+    tuples.resize(run.size());
+    for (std::size_t i = 0; i < run.size(); ++i) tuples[i] = {run[i], i + 1, i + 1};
+  } else {
+    tuples.reserve(std::min<std::size_t>(run.size(), max_tuples + 1));
+    // The k-th kept tuple's value is run[k].
+    bool fits = true;
+    ForEachExactPruneTuple(
+        count, max_tuples,
+        [&](std::uint64_t) {
+          if (tuples.size() < run.size()) return run[tuples.size()];
+          fits = false;
+          return 0.0f;
+        },
+        [&tuples](const GkTuple& t) { tuples.push_back(t); });
+    if (!fits || tuples.size() != run.size()) return false;
+    epsilon = PrunedEpsilon(0.0, max_tuples);  // the exact node's epsilon is 0
+  }
+  return FromParts(std::move(tuples), count, epsilon, out);
+}
+
 GkSummary GkSummary::Prune(std::size_t max_tuples) const {
   STREAMGPU_CHECK(max_tuples >= 1);
   if (size() <= max_tuples + 1) return *this;
 
   GkSummary out;
   out.count_ = count_;
-  out.epsilon_ = epsilon_ + 1.0 / (2.0 * static_cast<double>(max_tuples));
+  out.epsilon_ = PrunedEpsilon(epsilon_, max_tuples);
   out.tuples_.reserve(max_tuples + 1);
   // The target ranks are nondecreasing in i, so the boundary only moves
   // forward: one cursor sweep answers every rank in O(size() + max_tuples)
   // instead of a binary search per rank.
   std::size_t boundary = 0;
   for (std::size_t i = 0; i <= max_tuples; ++i) {
-    const auto rank = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(
-               std::llround(static_cast<double>(i) * static_cast<double>(count_) /
-                            static_cast<double>(max_tuples))));
+    const std::uint64_t rank = PruneRank(i, count_, max_tuples);
     while (boundary < tuples_.size() && BeforeRank(tuples_[boundary], rank)) ++boundary;
     const std::size_t best = BestAtBoundary(tuples_, boundary, rank);
     STREAMGPU_DCHECK(best == BestTupleForRank(rank));

@@ -63,6 +63,25 @@ class GkSummary {
                                          std::size_t window_size,
                                          std::vector<float>* out);
 
+  /// Samples, in place, the values of an exact node — a run such as
+  /// MergeWindowsInCascadeOrder builds, whose tuple at position i has
+  /// rmin = rmax = i + 1 — at the ranks Prune(max_tuples) picks from that
+  /// node. On exact tuples Prune's target rank r lands on the tuple at
+  /// position r, so the sample is the pruned node's value sequence and its
+  /// ranks follow from the run's original length alone (FromExactRun). Runs
+  /// of at most max_tuples + 1 values are left whole, as Prune leaves them.
+  /// Never allocates.
+  static void PruneExactRun(std::size_t max_tuples, std::vector<float>* run);
+
+  /// Rebuilds the node whose values `run` holds, for a node of `count`
+  /// elements: when count <= max_tuples + 1 the exact node itself
+  /// (rmin = rmax = position, epsilon 0), else its Prune(max_tuples), whose
+  /// values PruneExactRun sampled — tuples at Prune's target ranks with
+  /// Prune's epsilon, bit for bit. Returns false, leaving `out` untouched,
+  /// when run.size() is not that node's size or the values descend.
+  static bool FromExactRun(std::span<const float> run, std::uint64_t count,
+                           std::size_t max_tuples, GkSummary* out);
+
   /// Reduces the summary to at most max_tuples + 1 tuples by querying it at
   /// ranks i*count()/max_tuples, i = 0..max_tuples, at the price of
   /// 1/(2*max_tuples) additional error ([21]'s prune; §5.2's compress).

@@ -52,8 +52,9 @@ class QuantileSketch {
   virtual std::size_t AddSortedWindow(std::span<const float> window) = 0;
 
   /// Folds `windows` consecutive sorted windows given as one run merged in
-  /// cascade order (sketch::GkSummary::MergeWindowsInCascadeOrder), leaving
-  /// exactly the state AddSortedWindow on each window would. Returns false,
+  /// cascade order (sketch::GkSummary::MergeWindowsInCascadeOrder, then
+  /// PruneExactRun when the block's node prunes), leaving exactly the state
+  /// AddSortedWindow on each window would. Returns false,
   /// with the sketch untouched, when the backend cannot take this run
   /// (GK+EH: see EhQuantileSummary::AddExactRun); the caller then feeds the
   /// windows one by one. No other backend takes runs.

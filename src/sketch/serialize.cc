@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "common/float_order.h"
+
 namespace streamgpu::sketch {
 
 namespace {
@@ -36,14 +38,6 @@ bool Read(std::span<const std::uint8_t>* bytes, T* value) {
   std::memcpy(value, bytes->data(), sizeof(T));
   *bytes = bytes->subspan(sizeof(T));
   return true;
-}
-
-/// Same canonical float order as the sort backends (sort::FloatToOrderedKey):
-/// serialization of unordered containers sorts by it so equal summaries
-/// always produce identical bytes.
-inline std::uint32_t OrderKey(float value) {
-  const std::uint32_t bits = std::bit_cast<std::uint32_t>(value);
-  return bits & 0x80000000u ? ~bits : bits | 0x80000000u;
 }
 
 struct Crc32Table {
@@ -282,7 +276,7 @@ void AppendMisraGriesPayload(const MisraGries& sketch,
                                                        sketch.counters().end());
   std::sort(entries.begin(), entries.end(),
             [](const auto& a, const auto& b) {
-              return OrderKey(a.first) < OrderKey(b.first);
+              return OrderedKey(a.first) < OrderedKey(b.first);
             });
   Append(out, static_cast<std::uint64_t>(entries.size()));
   for (const auto& [value, count] : entries) {

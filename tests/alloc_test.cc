@@ -141,11 +141,12 @@ TEST(AllocTest, SteadyStatePipelineLoopIsAllocationFree) {
 }
 
 // The production quantile shape: epsilon 1e-3 with natural 1000-element
-// windows batches 32 windows, the workers merge each batch into one exact
-// run, and the drain inserts it as one node. What still allocates is the
-// node and the pruned top of the cascade — a few vectors per batch, where
-// window-by-window insertion allocates a summary per window plus every
-// merge along its carry chain.
+// windows batches 64 windows, the workers merge each batch into one exact
+// run and sample it at its node's prune ranks, and the drain inserts it as
+// one node. What still allocates is the node and the pruned top of the
+// cascade — a few vectors per batch, where window-by-window insertion
+// allocates a summary per window plus every merge along its carry chain.
+// The stream is fed in 32-window chunks, two per batch.
 TEST(AllocTest, ProductionShapeQuantileRunPathAllocatesPerBatchNotPerWindow) {
   if (kSanitized) GTEST_SKIP() << "sanitizers intercept operator new";
 

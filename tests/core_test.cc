@@ -199,12 +199,18 @@ TEST(QuantileEstimatorTest, CostsArePopulated) {
 TEST(QuantileEstimatorTest, ExactRunWidthFollowsTheConfiguration) {
   using sketch::QuantileSketchKind;
   // Natural windows at epsilon 1e-3: 1000 exact elements, and 32 of them
-  // (32,000 tuples) fit the 35,000-tuple prune budget of the default length.
-  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 0, QuantileSketchKind::kGk), 32u);
-  EXPECT_EQ(ExactRunWindows(0.01, 100, 0, 0, QuantileSketchKind::kGk), 32u);
+  // (32,000 tuples) fit the 35,000-tuple prune budget of the default length,
+  // so a batch is 64 windows whose node is pruned once, on the worker.
+  std::size_t prune_tuples = 0;
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 0, QuantileSketchKind::kGk, &prune_tuples), 64u);
+  EXPECT_EQ(prune_tuples, 35000u);
+  EXPECT_EQ(ExactRunWindows(0.01, 100, 0, 0, QuantileSketchKind::kGk), 64u);
   // A short expected stream (1,000 windows: 11 levels) shrinks the budget to
-  // 12,000 tuples, and the run to 8 windows.
-  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 1000 * 1000, QuantileSketchKind::kGk), 8u);
+  // 12,000 tuples, the lossless block to 8 windows and the batch to 16.
+  EXPECT_EQ(ExactRunWindows(1e-3, 1000, 0, 1000 * 1000, QuantileSketchKind::kGk,
+                            &prune_tuples),
+            16u);
+  EXPECT_EQ(prune_tuples, 12000u);
   // Sampled windows, sliding mode and the other kinds take no runs.
   EXPECT_EQ(ExactRunWindows(0.01, 1024, 0, 0, QuantileSketchKind::kGk), 0u);
   EXPECT_EQ(ExactRunWindows(1e-3, 1000, 100000, 0, QuantileSketchKind::kGk), 0u);
@@ -219,7 +225,7 @@ TEST(QuantileEstimatorTest, ExactRunWidthFollowsTheConfiguration) {
   opt.obs.metrics = &metrics;
   QuantileEstimator qe(opt);
   stream::StreamGenerator gen({.distribution = stream::Distribution::kUniformReal, .seed = 4});
-  ASSERT_TRUE(qe.ObserveBatch(gen.Take(3 * 32000 + 500)).ok());
+  ASSERT_TRUE(qe.ObserveBatch(gen.Take(3 * 64000 + 500)).ok());
   ASSERT_TRUE(qe.Flush().ok());
   std::uint64_t run_windows = 0;
   std::uint64_t windows = 0;
@@ -227,8 +233,8 @@ TEST(QuantileEstimatorTest, ExactRunWidthFollowsTheConfiguration) {
     if (name == "quant.merge.run_windows") run_windows = value;
     if (name == "quant.merge.windows") windows = value;
   }
-  EXPECT_EQ(run_windows, 96u);
-  EXPECT_EQ(windows, 97u);
+  EXPECT_EQ(run_windows, 192u);
+  EXPECT_EQ(windows, 193u);
 }
 
 TEST(StreamMinerTest, DrivesBothEstimators) {

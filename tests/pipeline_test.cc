@@ -240,12 +240,14 @@ TEST(PipelineDeterminismTest, BackpressureCapStillDeterministic) {
 }
 
 // --- The exact-run path: GK+EH at epsilon 1e-3 with natural 1000-element
-// windows batches 32 windows, and the sort workers merge each batch into one
-// cascade-order run the drain inserts as one node. Every byte must equal
-// the per-window cascade's, in every mode, backend and fallback. ---
+// windows batches 64 windows, and the sort workers merge each batch into one
+// cascade-order run and sample it at the ranks its node's prune keeps; the
+// drain inserts that sample as one node. Every byte must equal the
+// per-window cascade's, in every mode, backend and fallback. ---
 
 constexpr double kRunEpsilon = 1e-3;
-constexpr std::size_t kRunBatch = 32 * 1000;
+constexpr std::uint64_t kRunWindows = 64;
+constexpr std::size_t kRunBatch = kRunWindows * 1000;
 
 std::vector<float> UniformStream(std::size_t n, unsigned seed) {
   stream::StreamGenerator gen(
@@ -336,8 +338,8 @@ TEST(ExactRunPathTest, MatchesSerialAcrossWorkersAndBackends) {
         RunExactRunEstimator(opt, data, std::string("serial_") + BackendName(backend));
     // The five full batches took the run path; the staged partial one did
     // not, and Flush merged it window by window.
-    EXPECT_EQ(serial.run_windows, 5u * 32u) << BackendName(backend);
-    EXPECT_EQ(serial.windows_merged, 5u * 32u + 13u) << BackendName(backend);
+    EXPECT_EQ(serial.run_windows, 5u * kRunWindows) << BackendName(backend);
+    EXPECT_EQ(serial.windows_merged, 5u * kRunWindows + 13u) << BackendName(backend);
     ASSERT_EQ(serial.records.size(), 3u) << "header, state, staged partial batch";
     EXPECT_EQ(serial.records[2].first, durable::RecordType::kWindowBuffer);
     if (reference.records.empty()) reference = serial;
@@ -397,10 +399,10 @@ std::vector<std::uint8_t> PerWindowReference(const Options& opt, const std::vect
 }
 
 TEST(ExactRunPathTest, QuarantineMisalignsTheCounterAndTheFallbackIsPerWindow) {
-  // One corrupted render pass in the third batch with no CPU fallback: its
+  // One corrupted render pass in the second batch with no CPU fallback: its
   // window is quarantined, the window counter falls out of step with the
   // batches for good, and every later batch merges window by window.
-  const auto data = UniformStream(6 * kRunBatch + 4321, 22);
+  const auto data = UniformStream(3 * kRunBatch + 4321, 22);
   Options opt;
   opt.epsilon = kRunEpsilon;
   opt.backend = Backend::kGpuPbsn;
@@ -412,11 +414,11 @@ TEST(ExactRunPathTest, QuarantineMisalignsTheCounterAndTheFallbackIsPerWindow) {
   opt.fault.cpu_fallback = false;
 
   const RunPathOutcome faulty = RunExactRunEstimator(opt, data, "quarantine");
-  const std::uint64_t quarantined = 6 * 32 + 5 - faulty.windows_merged;
+  const std::uint64_t quarantined = 3 * kRunWindows + 5 - faulty.windows_merged;
   ASSERT_GT(quarantined, 0u);
-  // The first two batches took runs; none did from the quarantined batch
-  // on, though three more full batches followed it.
-  EXPECT_EQ(faulty.run_windows, 2u * 32u);
+  // The first batch took a run; none did from the quarantined batch on,
+  // though another full batch followed it.
+  EXPECT_EQ(faulty.run_windows, kRunWindows);
 
   // A checkpoint taken after Flush holds the final state.
   opt.checkpoint_dir = FreshDir("quarantine_final");
@@ -428,7 +430,53 @@ TEST(ExactRunPathTest, QuarantineMisalignsTheCounterAndTheFallbackIsPerWindow) {
   RunPathOutcome final_state;
   ReadCheckpoint(opt.checkpoint_dir, &final_state);
   ASSERT_EQ(final_state.records.size(), 2u);
-  EXPECT_EQ(final_state.records[1].second, PerWindowReference(opt, data, 32));
+  EXPECT_EQ(final_state.records[1].second, PerWindowReference(opt, data, kRunWindows));
+}
+
+TEST(ExactRunPathTest, NanBearingStreamMatchesThePerWindowPath) {
+  // +-NaN, +-0 and +-inf among ordinary values: the sorters put the NaNs at
+  // both ends of each window, where operator<= is false. The sampled runs of
+  // the full batches and the per-window tail must still leave the per-window
+  // cascade's bytes (a Debug build also cross-checks every run and sample).
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, -nan, 0.0f, -0.0f, inf, -inf};
+  auto data = UniformStream(3 * kRunBatch + 2500, 24);
+  for (std::size_t i = 0; i < data.size(); i += 7) data[i] = specials[(i / 7) % 6];
+  Options opt;
+  opt.epsilon = kRunEpsilon;
+  opt.backend = Backend::kCpuRadixMerge;
+  // The per-window reference: the engine's own sorter, window by window
+  // (PerWindowReference's resilient sorter would quarantine every window
+  // holding a NaN).
+  SortEngine engine(opt);
+  QuantileSummaryCore core(opt.epsilon, 1000, 0, 0);
+  for (std::size_t off = 0; off < data.size(); off += 1000) {
+    std::vector<float> window(data.begin() + static_cast<std::ptrdiff_t>(off),
+                              data.begin() + static_cast<std::ptrdiff_t>(
+                                                 std::min(data.size(), off + 1000)));
+    engine.sorter().Sort(window);
+    core.MergeSortedWindow(window);
+  }
+  std::vector<std::uint8_t> reference;
+  ASSERT_TRUE(core.AppendCheckpointState(&reference).ok());
+  for (int workers : {1, 4}) {
+    obs::MetricsRegistry metrics;
+    opt.obs.metrics = &metrics;
+    opt.num_sort_workers = workers;
+    opt.checkpoint_dir = FreshDir("nan_workers" + std::to_string(workers));
+    auto created = QuantileEstimator::Create(opt);
+    ASSERT_TRUE(created.ok());
+    ASSERT_TRUE((*created)->ObserveBatch(data).ok());
+    ASSERT_TRUE((*created)->Flush().ok());
+    ASSERT_TRUE((*created)->Checkpoint().ok());
+    RunPathOutcome final_state;
+    ReadCheckpoint(opt.checkpoint_dir, &final_state);
+    ASSERT_EQ(final_state.records.size(), 2u);
+    EXPECT_EQ(final_state.records[1].second, reference) << "workers=" << workers;
+    EXPECT_EQ(CounterValue(metrics.Snapshot(), "quant.merge.run_windows"), 3u * kRunWindows)
+        << "workers=" << workers;
+  }
 }
 
 TEST(ExactRunPathTest, RestoreFromMidBatchCheckpointContinuesByteIdentically) {
@@ -467,7 +515,7 @@ TEST(ExactRunPathTest, RestoreFromMidBatchCheckpointContinuesByteIdentically) {
   // Both estimators took runs: the first for its two full batches, the
   // restored one (still aligned) for the staged batch it completed and the
   // next.
-  EXPECT_EQ(CounterValue(metrics.Snapshot(), "quant.merge.run_windows"), 4u * 32u);
+  EXPECT_EQ(CounterValue(metrics.Snapshot(), "quant.merge.run_windows"), 4u * kRunWindows);
 }
 
 TEST(PipelineShutdownTest, DestructionFlushesInFlightBatchesCleanly) {

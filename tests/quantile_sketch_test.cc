@@ -100,6 +100,26 @@ TEST(GkFromSortedTest, EmptyWindow) {
   EXPECT_EQ(s.count(), 0u);
 }
 
+TEST(GkFromSortedTest, AcceptsTheSortersNaNOrder) {
+  // The sorters put sign-set NaNs first and sign-clear NaNs last, where
+  // operator<= is false both ways; FromSorted checks the sorters' canonical
+  // order instead, so a Debug build takes the window.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> w{3.0f, nan, -nan, 1.0f, -0.0f, 0.0f, inf, -inf, 2.0f};
+  sort::RadixMergeSorter sorter(hwmodel::kPentium4_3400);
+  sorter.Sort(std::span(w));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(w.front()), std::bit_cast<std::uint32_t>(-nan));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(w.back()), std::bit_cast<std::uint32_t>(nan));
+  const GkSummary s = GkSummary::FromSorted(w, 1e-3);
+  ASSERT_EQ(s.size(), w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(s.tuples()[i].value),
+              std::bit_cast<std::uint32_t>(w[i]));
+    EXPECT_EQ(s.tuples()[i].rmin, i + 1);
+  }
+}
+
 // --- Rank-bound soundness: rmin/rmax must always bracket a realizable ---
 // --- rank of the tuple's value.                                        ---
 
@@ -355,6 +375,64 @@ TEST(GkPruneTest, SweepMatchesPerRankReferenceAtEveryBudget) {
   }
 }
 
+// --- PruneExactRun / FromExactRun: Prune of an exact node, from values. ---
+
+TEST(GkPruneTest, PruneExactRunSamplesThePrunedNode) {
+  // n/B from just above 1 (r_0 = r_1 = 1, so Prune keeps B tuples, not B+1)
+  // through 1.5 to the production shapes (64 and 16 windows of 1000).
+  const std::pair<std::uint64_t, std::size_t> shapes[] = {
+      {102, 100},  {130, 100},    {149, 100},     {150, 100},   {151, 100},
+      {200, 100},  {1000, 199},   {5, 3},         {16000, 12000}, {64000, 35000}};
+  for (const auto& [n, budget] : shapes) {
+    SCOPED_TRACE(testing::Message() << "n=" << n << " B=" << budget);
+    std::vector<float> values = RandomValues(n, static_cast<unsigned>(n), 50);
+    std::sort(values.begin(), values.end());
+    GkSummary exact;
+    ASSERT_TRUE(GkSummary::FromExactRun(values, n, n, &exact));
+    ASSERT_EQ(exact.epsilon(), 0.0);
+    const GkSummary want = exact.Prune(budget);
+
+    std::vector<float> run = values;
+    GkSummary::PruneExactRun(budget, &run);
+    EXPECT_EQ(run.size(), 2 * n < 3 * budget ? budget : budget + 1);
+    GkSummary got;
+    ASSERT_TRUE(GkSummary::FromExactRun(run, n, budget, &got));
+    EXPECT_TRUE(SameTuples(got.tuples(), want.tuples()));
+    EXPECT_EQ(got.count(), want.count());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.epsilon()),
+              std::bit_cast<std::uint64_t>(want.epsilon()));
+
+    // A sample one value short or long, or taken for another n, is refused.
+    GkSummary untouched;
+    EXPECT_FALSE(GkSummary::FromExactRun(std::span(run).first(run.size() - 1), n, budget,
+                                         &untouched));
+    std::vector<float> longer = run;
+    longer.push_back(longer.back());
+    EXPECT_FALSE(GkSummary::FromExactRun(longer, n, budget, &untouched));
+    EXPECT_TRUE(untouched.empty());
+  }
+  // A NaN at rank 1 (where the sorters put sign-set NaNs) never equals
+  // itself, so Prune keeps the r_0 = r_1 = 1 tuple twice, and so does the
+  // sample.
+  std::vector<float> values = RandomValues(130, 7, 50);
+  std::sort(values.begin(), values.end());
+  values.front() = -std::numeric_limits<float>::quiet_NaN();
+  GkSummary exact;
+  ASSERT_TRUE(GkSummary::FromExactRun(values, 130, 130, &exact));
+  const GkSummary want = exact.Prune(100);
+  ASSERT_EQ(want.size(), 101u);
+  std::vector<float> run = values;
+  GkSummary::PruneExactRun(100, &run);
+  GkSummary got;
+  ASSERT_TRUE(GkSummary::FromExactRun(run, 130, 100, &got));
+  EXPECT_TRUE(SameTuples(got.tuples(), want.tuples()));
+
+  // Within the budget the run stays whole, as Prune leaves the node.
+  std::vector<float> small = {1.0f, 2.0f, 2.0f, 5.0f};
+  GkSummary::PruneExactRun(3, &small);
+  EXPECT_EQ(small.size(), 4u);
+}
+
 // --- Exponential histogram (§5.2). ---
 
 struct EhCase {
@@ -535,10 +613,32 @@ std::vector<float> CascadeRun(std::span<const float> windows) {
   return run;
 }
 
-TEST(EhTest, ExactRunLeavesThePerWindowCascadeState) {
+// The production prune budget, ceil(35 / epsilon).
+constexpr std::size_t kProdBudget = 35000;
+
+// CascadeRun sampled at the ranks Prune(budget) picks, as the worker stage
+// sends a batch whose node prunes.
+std::vector<float> SampledRun(std::span<const float> windows, std::size_t budget) {
+  std::vector<float> run = CascadeRun(windows);
+  GkSummary::PruneExactRun(budget, &run);
+  return run;
+}
+
+std::vector<std::uint8_t> WireBytes(const QuantileSketch& sketch) {
+  std::vector<std::uint8_t> bytes;
+  EXPECT_TRUE(sketch.AppendWireSummary(&bytes).ok());
+  return bytes;
+}
+
+using Draw = std::function<float(std::mt19937&, std::size_t)>;
+
+// Inputs for the run/per-window equivalence tests: random, duplicate-heavy,
+// all-equal, reverse-sorted, signed zeros, infinities, and a mix of +-NaN,
+// +-0 and +-inf, whose NaNs the sorters put at both ends.
+std::vector<std::pair<const char*, Draw>> EquivalenceInputs() {
   const float inf = std::numeric_limits<float>::infinity();
-  using Draw = std::function<float(std::mt19937&, std::size_t)>;
-  std::vector<std::pair<const char*, Draw>> inputs = {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  return {
       {"random",
        [](std::mt19937& rng, std::size_t) {
          return std::uniform_real_distribution<float>(-1e6f, 1e6f)(rng);
@@ -555,16 +655,17 @@ TEST(EhTest, ExactRunLeavesThePerWindowCascadeState) {
          const unsigned pick = rng() % 4u;
          return pick == 0 ? inf : pick == 1 ? -inf : static_cast<float>(rng() % 100u);
        }},
+      {"nan-bearing",
+       [inf, nan](std::mt19937& rng, std::size_t) {
+         const float pool[] = {nan, -nan, 0.0f, -0.0f, inf, -inf};
+         const unsigned pick = rng() % 12u;
+         return pick < 6 ? pool[pick] : static_cast<float>(rng() % 50u);
+       }},
   };
-#ifdef NDEBUG
-  // NaN compares false both ways, so GkSummary::FromSorted's Debug-only
-  // ascending check rejects the per-window reference itself.
-  inputs.push_back({"nan-bearing", [](std::mt19937& rng, std::size_t) {
-                      return rng() % 5u == 0 ? std::numeric_limits<float>::quiet_NaN()
-                                             : static_cast<float>(rng() % 50u);
-                    }});
-#endif
-  for (const auto& [name, draw] : inputs) {
+}
+
+TEST(EhTest, ExactRunLeavesThePerWindowCascadeState) {
+  for (const auto& [name, draw] : EquivalenceInputs()) {
     for (int k = 1; k <= 5; ++k) {
       SCOPED_TRACE(testing::Message() << name << " windows=" << (1 << k));
       const std::size_t windows = std::size_t{1} << k;
@@ -596,13 +697,25 @@ TEST(EhTest, ExactRunIsRefusedUnlessTheCascadeWouldBuildIt) {
   sketch->AddSortedWindow(one);
   const std::vector<std::uint8_t> before = CheckpointBytes(*sketch);
 
-  // Misaligned: bucket 1 holds a window, so two windows do not build a node.
+  // Misaligned: bucket 1 holds a window, so two windows do not build a node,
+  // nor do 64 (the batch width) given as their sampled node.
   const std::vector<float> two = SortedProductionWindows(2, 2, draw);
   EXPECT_FALSE(sketch->AddExactRun(CascadeRun(two), 2));
-  // 64 windows exceed the prune budget (64,000 > 35,001 tuples).
-  auto fresh = ProductionGkSketch();
   const std::vector<float> many = SortedProductionWindows(64, 3, draw);
+  const std::vector<float> sample = SampledRun(many, kProdBudget);
+  ASSERT_EQ(sample.size(), kProdBudget + 1);
+  EXPECT_FALSE(sketch->AddExactRun(sample, 64));
+  // 64 windows exceed the prune budget (64,000 > 35,001 tuples), so their
+  // node arrives sampled: the whole run is refused, as is a sample one value
+  // short or one taken as another window count's node.
+  auto fresh = ProductionGkSketch();
   EXPECT_FALSE(fresh->AddExactRun(CascadeRun(many), 64));
+  EXPECT_FALSE(fresh->AddExactRun(std::span(sample).first(sample.size() - 1), 64));
+  EXPECT_FALSE(fresh->AddExactRun(sample, 32));
+  // 128 windows would prune twice below their node (64,000 > 35,001 tuples
+  // in each half): the node is not a sample of an exact one.
+  const std::vector<float> too_many = SortedProductionWindows(128, 5, draw);
+  EXPECT_FALSE(fresh->AddExactRun(SampledRun(too_many, kProdBudget), 128));
   EXPECT_EQ(fresh->count(), 0u);
   // Not a power of two, a single window, or a run of the wrong length.
   const std::vector<float> three = SortedProductionWindows(3, 4, draw);
@@ -610,7 +723,11 @@ TEST(EhTest, ExactRunIsRefusedUnlessTheCascadeWouldBuildIt) {
   EXPECT_FALSE(fresh->AddExactRun(one, 1));
   EXPECT_FALSE(fresh->AddExactRun(std::span(two).first(1999), 2));
   EXPECT_EQ(fresh->count(), 0u);
+  EXPECT_EQ(CheckpointBytes(*fresh), CheckpointBytes(*ProductionGkSketch()));
   EXPECT_EQ(CheckpointBytes(*sketch), before);
+  // Aligned, the sample is the node of all 64 windows.
+  ASSERT_TRUE(fresh->AddExactRun(sample, 64));
+  EXPECT_EQ(fresh->count(), 64000u);
 
   // Sampled windows (rank step > 1) never take runs.
   auto sampled = QuantileSketch::Create(QuantileSketchKind::kGk, 0.01, 1024, 1024 << 20);
@@ -620,6 +737,7 @@ TEST(EhTest, ExactRunIsRefusedUnlessTheCascadeWouldBuildIt) {
   for (std::size_t i = 0; i < sorted_pair.size(); ++i) sorted_pair[i] = static_cast<float>(i % 1024);
   EXPECT_FALSE((*sampled)->AddExactRun(sorted_pair, 2));
   EXPECT_EQ(LosslessBlockWindows(kProdEpsilon, kProdWindow, kProdExpected), 32u);
+  EXPECT_EQ(ExactRunBatchWindows(kProdEpsilon, kProdWindow, kProdExpected), 64u);
 }
 
 TEST(EhTest, ExactRunPathReproducesThePinnedBytes) {
@@ -641,6 +759,72 @@ TEST(EhTest, ExactRunPathReproducesThePinnedBytes) {
   ASSERT_TRUE(sketch->AppendCheckpointState(&state).ok());
   std::vector<std::uint8_t> wire;
   ASSERT_TRUE(sketch->AppendWireSummary(&wire).ok());
+  EXPECT_EQ(state.size(), 700118u);
+  EXPECT_EQ(Fnv1a(state), 0x9805bbddbdeb3cbfull);
+  EXPECT_EQ(wire.size(), 700064u);
+  EXPECT_EQ(Fnv1a(wire), 0x00e5a71ef78b1841ull);
+}
+
+TEST(EhTest, SampledRunLeavesThePerWindowCascadeState) {
+  // The batch width at the production shape (64 windows) and at a short
+  // expected length (1,000 windows: a 12,000-tuple budget, L = 8, 2L = 16).
+  // Each batch's node prunes once, so it travels as a sample.
+  struct Shape {
+    std::uint64_t expected;
+    std::uint64_t windows;
+  };
+  for (const Shape shape : {Shape{kProdExpected, 64}, Shape{1000 * 1000, 16}}) {
+    ASSERT_EQ(ExactRunBatchWindows(kProdEpsilon, kProdWindow, shape.expected), shape.windows);
+    const std::size_t budget =
+        EhQuantileSummary::PruneTuples(kProdEpsilon, kProdWindow, shape.expected);
+    ASSERT_GT(shape.windows * kProdWindow, budget + 1);
+    for (const auto& [name, draw] : EquivalenceInputs()) {
+      SCOPED_TRACE(testing::Message() << name << " windows=" << shape.windows);
+      const auto create = [&shape] {
+        return std::move(QuantileSketch::Create(QuantileSketchKind::kGk, kProdEpsilon,
+                                                kProdWindow, shape.expected))
+            .value();
+      };
+      auto per_window = create();
+      auto by_run = create();
+      // Three blocks: the second node merges with the first (a pruned combine
+      // on the drain), the third lands on the vacated id.
+      for (unsigned block = 0; block < 3; ++block) {
+        const std::vector<float> sorted =
+            SortedProductionWindows(shape.windows, 700 + block, draw);
+        for (std::size_t off = 0; off < sorted.size(); off += kProdWindow) {
+          per_window->AddSortedWindow(std::span(sorted).subspan(off, kProdWindow));
+        }
+        const std::vector<float> sample = SampledRun(sorted, budget);
+        ASSERT_LE(sample.size(), budget + 1);
+        ASSERT_TRUE(by_run->AddExactRun(sample, shape.windows));
+        ASSERT_EQ(CheckpointBytes(*by_run), CheckpointBytes(*per_window));
+        ASSERT_EQ(WireBytes(*by_run), WireBytes(*per_window));
+        EXPECT_EQ(by_run->merged_tuples(), per_window->merged_tuples());
+        EXPECT_EQ(by_run->pruned_tuples(), per_window->pruned_tuples());
+        EXPECT_EQ(by_run->count(), per_window->count());
+      }
+    }
+  }
+}
+
+TEST(EhTest, SampledRunPathReproducesThePinnedBytes) {
+  // The windows of CheckpointAndExportBytesArePinnedAtProductionShape, fed
+  // as eight 64-window sampled nodes, must land on the same pins.
+  std::mt19937 rng(2005);
+  std::vector<float> block(64 * kProdWindow);
+  auto sketch = ProductionGkSketch();
+  for (int run = 0; run < 8; ++run) {
+    for (std::size_t off = 0; off < block.size(); off += kProdWindow) {
+      const auto window = std::span(block).subspan(off, kProdWindow);
+      for (float& v : window) v = static_cast<float>(rng() % 100000u);
+      std::sort(window.begin(), window.end());
+    }
+    ASSERT_TRUE(sketch->AddExactRun(SampledRun(block, kProdBudget), 64));
+  }
+  ASSERT_EQ(sketch->summary_size(), 35001u);
+  const std::vector<std::uint8_t> state = CheckpointBytes(*sketch);
+  const std::vector<std::uint8_t> wire = WireBytes(*sketch);
   EXPECT_EQ(state.size(), 700118u);
   EXPECT_EQ(Fnv1a(state), 0x9805bbddbdeb3cbfull);
   EXPECT_EQ(wire.size(), 700064u);
